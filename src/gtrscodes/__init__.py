@@ -1,11 +1,11 @@
 """Twisted Reed-Solomon codes over finite fields: exact construction,
 duality, and Hermitian self-dual MDS/NMDS families."""
 
-from .codes import DEFAULT_DISTANCE_CAP, CodeError, DistanceCapExceeded, LinearCode, codes_equal
-from .field import FieldError, GaloisField, build_field, quadratic_extension
+from .codes import DEFAULT_DISTANCE_CAP, CodeError, DistanceCapExceeded, LinearCode
+from .field import FieldError, GaloisField, poly_eval, quadratic_extension
 from .gtrs import (GTRSError, GTRSParams, TwistSpec, alpha_sum, code,
                    dual_params, dual_parity_matrix, encode, expand_twisted,
-                   generator_matrix, is_mds_plus, is_nmds_plus, l_matrix, poly_eval,
+                   generator_matrix, is_mds_plus, l_matrix,
                    plus_dual_euclidean, plus_gtrs, systematic_generator,
                    u_vector)
 from .linalg import (LinalgError, Matrix, frobenius_image,
@@ -22,12 +22,12 @@ __all__ = [
     "CodeError", "ConstructionError", "ConstructionResult",
     "DEFAULT_DISTANCE_CAP", "DistanceCapExceeded", "FieldError", "GTRSError",
     "GTRSParams", "GaloisField", "LinalgError", "LinearCode", "Matrix",
-    "TwistSpec", "alpha_sum", "build_field", "check_self_dual_criterion",
-    "classify_eta", "code", "codes_equal", "construct_class1",
+    "TwistSpec", "alpha_sum", "check_self_dual_criterion",
+    "classify_eta", "code", "construct_class1",
     "construct_class2", "dual_params", "dual_parity_matrix", "encode",
     "expand_twisted", "frobenius_image", "generator_matrix",
     "inverse_vandermonde_identity_check", "is_mds_plus",
-    "is_multiplicative_subgroup", "is_nmds_plus", "l_matrix",
+    "is_multiplicative_subgroup", "l_matrix",
     "plus_dual_euclidean", "plus_gtrs", "poly_eval", "quadratic_extension",
     "sweep_constructions", "systematic_generator", "u_vector", "zeta_roots",
 ]

@@ -95,14 +95,13 @@ class LinearCode:
                 f"q^k = {q}^{self.k} exceeds enumeration cap {cap}")
         import numpy as np
 
-        exp2, log, addt = self.field.np_tables()
+        exp, log, addt = self.field.np_tables()
         g = np.array(self.gen.data, dtype=np.int32)
-        n1 = q - 1
         best = self.n
 
         def mul_vec(scalars, grow):
             # scalars: (N,), grow: (n,) -> (N, n) products
-            out = exp2[(log[scalars][:, None] + log[grow][None, :]) % n1]
+            out = exp[log[scalars][:, None] + log[grow][None, :]]
             mask = (scalars == 0)[:, None] | (grow == 0)[None, :]
             return np.where(mask, 0, out)
 
@@ -117,7 +116,8 @@ class LinearCode:
                 for j in range(nfree):
                     row = lead + 1 + j
                     sym = (idx // (q ** (nfree - 1 - j))) % q
-                    cw = addt[cw, mul_vec(sym.astype(np.int32), g[row])]
+                    prod = mul_vec(sym.astype(np.int32), g[row])
+                    cw = cw ^ prod if addt is None else addt[cw, prod]
                 w = int((cw != 0).sum(axis=1).min())
                 best = min(best, w)
                 if best == 1:
@@ -152,7 +152,3 @@ class LinearCode:
         f = field or GaloisField.from_dict(d["field"])
         rows = [[f.from_coeffs(c) for c in row] for row in d["generator"]]
         return cls(f, Matrix(f, rows, cols=d["n"]))
-
-
-def codes_equal(a: LinearCode, b: LinearCode) -> bool:
-    return a.equals(b)

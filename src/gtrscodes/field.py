@@ -3,8 +3,10 @@
 Elements are plain integers in [0, p^m): the base-p digits of the integer
 are the coefficients (constant term first) of the element written as a
 polynomial over GF(p).  For a prime field this is just the usual residue.
-Multiplication, inversion and powers go through discrete-log tables, so
-every operation is exact and O(1) at the field sizes supported here.
+Each field builds one table set at construction (see
+GaloisField._build_tables): multiplication, inversion and powers go through
+discrete-log tables, negation and odd-characteristic addition through
+lookup tables, and characteristic-2 addition is XOR of the encodings.
 """
 
 from __future__ import annotations
@@ -12,7 +14,8 @@ from __future__ import annotations
 from math import gcd
 from typing import Sequence
 
-MAX_ORDER = 1 << 16
+MAX_ORDER = 1 << 16      # largest field constructed
+TABLE_CAP = 4096         # largest odd-p addition table; enumerator limit
 
 
 class FieldError(ValueError):
@@ -178,37 +181,76 @@ class GaloisField:
         self.q = p ** (m // 2) if m % 2 == 0 else None
 
         if generator is None:
-            gen = self._scan_generator()
+            # the smallest element of full order; every field has one
+            for gen in range(1, self.order):
+                exp = self._exp_table(gen)
+                if exp is not None:
+                    break
         else:
             gen = self.from_coeffs(generator) if isinstance(generator, (list, tuple)) else int(generator)
             if not (0 < gen < self.order):
                 raise FieldError("generator out of range")
-            if self._raw_order(gen) != self.order - 1:
+            exp = self._exp_table(gen)
+            if exp is None:
                 raise FieldError("supplied generator is not primitive")
         self.generator = gen
-
-        # exp/log tables
-        n1 = self.order - 1
-        exp = [0] * n1
-        log = [-1] * self.order
-        w = 1
-        for i in range(n1):
-            exp[i] = w
-            log[w] = i
-            w = self._raw_mul(w, gen)
-        if w != 1:
-            raise FieldError("generator order mismatch while building tables")
-        self.exp = tuple(exp)
-        self.log = tuple(log)
-
-        # dense addition table for small fields (everything at desk scale)
-        if self.order <= 1024:
-            self._add = [[self._raw_add(x, y) for y in range(self.order)]
-                         for x in range(self.order)]
-        else:
-            self._add = None
-        self._np = None
+        self._build_tables(exp)
         self._subfield = None
+
+    def _exp_table(self, g: int):
+        """Two periods of the powers of g as a numpy array, or None when g
+        is not primitive.  Built by doubling: multiplying by a fixed c is
+        GF(p)-linear on the digits, row j of its matrix being c * x^j."""
+        import numpy as np    # deferred: `import gtrscodes` stays numpy-free
+        p, m, n1 = self.p, self.m, self.order - 1
+        place = p ** np.arange(m, dtype=np.int64)
+        exp = np.empty(2 * n1, dtype=np.int32)
+        exp[0] = 1
+        done, c = 1, g                       # c = g^done
+        while done < n1:
+            step = min(done, n1 - done)
+            times_c = np.array([self.coeffs(self._raw_mul(c, p ** j))
+                                for j in range(m)], dtype=np.int64)
+            block = exp[:step, None] // place % p @ times_c % p @ place
+            if (block == 1).any():           # g^i = 1 for some 0 < i < n1
+                return None
+            exp[done:done + step] = block
+            done, c = done + step, self._raw_mul(c, c)
+        exp[n1:] = exp[:n1]
+        return exp
+
+    def _build_tables(self, exp):
+        """The field's one table set, vectorised over all elements.
+
+        exp holds two periods of generator powers, so that
+        exp[log x + log y] needs no reduction; log[0] is 0 and never read
+        for a product.  neg is the digit-wise negation.  For odd p up to
+        TABLE_CAP elements, _add is the q x q addition table; in
+        characteristic 2 addition is XOR and above the cap it runs digit by
+        digit, so no table is stored.  Scalar methods read the tables
+        through memoryviews (Python ints out); np_tables hands the same
+        buffers to the codeword enumerator.
+        """
+        import numpy as np
+        p, m, n1 = self.p, self.m, self.order - 1
+        place = p ** np.arange(m)
+        digits = np.arange(self.order)[:, None] // place % p
+        log = np.zeros(self.order, dtype=np.int32)
+        log[exp[:n1]] = np.arange(n1, dtype=np.int32)
+        self.exp = memoryview(exp)
+        self.log = memoryview(log)
+        self._neg = memoryview((-digits % p @ place).astype(np.int32))
+
+        self._add = None
+        if p != 2 and self.order <= TABLE_CAP:
+            # x + y as integers, less p^(i+1) wherever digit i carries
+            small = np.arange(self.order, dtype=np.uint16)
+            add = np.add.outer(small, small)
+            for i in range(m):
+                d = digits[:, i].astype(np.uint16)
+                np.subtract(add, p ** (i + 1), out=add,
+                            where=np.greater_equal.outer(d, p - d))
+            self._add = memoryview(add)
 
     # -- raw (table-free) arithmetic, used during construction ------------
 
@@ -232,24 +274,6 @@ class GaloisField:
         b = self.coeffs(y)
         prod = _poly_mod(_poly_mul(a, b, self.p), self.modulus, self.p)
         return self.from_coeffs(prod)
-
-    def _raw_order(self, x: int) -> int:
-        n = 1
-        w = x
-        while w != 1:
-            w = self._raw_mul(w, x)
-            n += 1
-            if n > self.order:
-                raise FieldError("element order runaway (corrupt field)")
-        return n
-
-    def _scan_generator(self) -> int:
-        if self.order == 2:
-            return 1
-        for cand in range(2, self.order):
-            if self._raw_order(cand) == self.order - 1:
-                return cand
-        raise FieldError("no primitive element found")
 
     # -- element encoding ---------------------------------------------------
 
@@ -281,23 +305,11 @@ class GaloisField:
 
     def add(self, x: int, y: int) -> int:
         if self._add is not None:
-            return self._add[x][y]
-        return self._raw_add(x, y)
+            return self._add[x, y]
+        return x ^ y if self.p == 2 else self._raw_add(x, y)
 
     def neg(self, x: int) -> int:
-        if x == 0:
-            return 0
-        p = self.p
-        if self.m == 1:
-            return p - x
-        out = 0
-        mult = 1
-        for _ in range(self.m):
-            d = x % p
-            out += (p - d if d else 0) * mult
-            x //= p
-            mult *= p
-        return out
+        return self._neg[x]
 
     def sub(self, x: int, y: int) -> int:
         return self.add(x, self.neg(y))
@@ -305,12 +317,12 @@ class GaloisField:
     def mul(self, x: int, y: int) -> int:
         if x == 0 or y == 0:
             return 0
-        return self.exp[(self.log[x] + self.log[y]) % (self.order - 1)]
+        return self.exp[self.log[x] + self.log[y]]
 
     def inv(self, x: int) -> int:
         if x == 0:
             raise FieldError("inversion of zero")
-        return self.exp[(-self.log[x]) % (self.order - 1)]
+        return self.exp[self.order - 1 - self.log[x]]
 
     def div(self, x: int, y: int) -> int:
         return self.mul(x, self.inv(y))
@@ -396,21 +408,12 @@ class GaloisField:
         j0 = (lc // g) * pow(d // g, -1, step) % step
         return [self.exp[(j0 + s * step) % n1] for s in range(g)]
 
-    def poly_roots(self, coeffs: Sequence[int], scan_cap: int = MAX_ORDER) -> set[int]:
+    def poly_roots(self, coeffs: Sequence[int]) -> set[int]:
         """Exact root set of a nonzero polynomial by exhaustive evaluation."""
         coeffs = [self.check(c) for c in coeffs]
         if not any(coeffs):
             raise FieldError("root finding on the zero polynomial")
-        if self.order > scan_cap:
-            raise FieldError(f"field size {self.order} exceeds scan cap {scan_cap}")
-        roots = set()
-        for x in range(self.order):
-            acc = 0
-            for c in reversed(coeffs):
-                acc = self.add(self.mul(acc, x), c)
-            if acc == 0:
-                roots.add(x)
-        return roots
+        return {x for x in range(self.order) if poly_eval(self, coeffs, x) == 0}
 
     def primitive_elements(self) -> list[int]:
         """All primitive elements, ascending by discrete log of the default
@@ -421,19 +424,14 @@ class GaloisField:
     # -- numpy tables for the bulk codeword enumerator ------------------------
 
     def np_tables(self):
-        if self._np is None:
-            import numpy as np
-            if self.order > 4096:
-                raise FieldError("vectorized tables unsupported above 4096 elements")
-            n1 = self.order - 1
-            exp2 = np.array(list(self.exp) * 2, dtype=np.int32)
-            log = np.zeros(self.order, dtype=np.int32)
-            for x in range(1, self.order):
-                log[x] = self.log[x]
-            addt = np.array([[self.add(x, y) for y in range(self.order)]
-                             for x in range(self.order)], dtype=np.int32)
-            self._np = (exp2, log, addt)
-        return self._np
+        """(exp, log, add): numpy views of the field's own tables.  add is
+        None in characteristic 2, where the enumerator adds with XOR."""
+        if self.order > TABLE_CAP:
+            raise FieldError(
+                f"vectorized tables unsupported above {TABLE_CAP} elements")
+        import numpy as np
+        add = None if self._add is None else np.asarray(self._add)
+        return np.asarray(self.exp), np.asarray(self.log), add
 
     # -- identity / serialization ---------------------------------------------
 
@@ -462,10 +460,12 @@ class GaloisField:
                    generator=d.get("generator"))
 
 
-def build_field(p: int, m: int = 1, modulus: Sequence[int] | None = None,
-                generator: int | Sequence[int] | None = None) -> GaloisField:
-    """Construct GF(p^m); see GaloisField."""
-    return GaloisField(p, m, modulus=modulus, generator=generator)
+def poly_eval(field: GaloisField, coeffs: Sequence[int], x: int) -> int:
+    """Horner evaluation of a coefficient list (constant term first) at x."""
+    acc = 0
+    for c in reversed(list(coeffs)):
+        acc = field.add(field.mul(acc, x), c)
+    return acc
 
 
 def quadratic_extension(q: int) -> GaloisField:

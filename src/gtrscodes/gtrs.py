@@ -17,7 +17,7 @@ from itertools import combinations
 from math import comb
 
 from .codes import LinearCode
-from .field import GaloisField
+from .field import GaloisField, poly_eval
 from .linalg import Matrix, is_multiplicative_subgroup
 
 SUBSET_SCAN_MAX_N = 28
@@ -142,13 +142,6 @@ def expand_twisted(field: GaloisField, twist: TwistSpec, f) -> list[int]:
         d = twist.k - 1 + t
         out[d] = field.add(out[d], field.mul(e, f[h]))
     return out
-
-
-def poly_eval(field: GaloisField, coeffs, x: int) -> int:
-    acc = 0
-    for c in reversed(list(coeffs)):
-        acc = field.add(field.mul(acc, x), c)
-    return acc
 
 
 def encode(params: GTRSParams, f) -> list[int]:
@@ -305,7 +298,8 @@ def plus_dual_euclidean(params: GTRSParams) -> GTRSParams:
 
 def is_mds_plus(field: GaloisField, alpha, eta: int, k: int) -> bool:
     """Subset-sum criterion: the single-twist code is MDS iff no k-subset of
-    the locators has eta * sum = -1."""
+    the locators has eta * sum = -1.  Single-twist codes are MDS or NMDS,
+    so the complement is the NMDS test."""
     alpha = list(alpha)
     n = len(alpha)
     if eta == 0:
@@ -319,8 +313,3 @@ def is_mds_plus(field: GaloisField, alpha, eta: int, k: int) -> bool:
         if alpha_sum(field, subset) == target:
             return False
     return True
-
-
-def is_nmds_plus(field: GaloisField, alpha, eta: int, k: int) -> bool:
-    """Complement of the MDS criterion: single-twist codes are MDS or NMDS."""
-    return not is_mds_plus(field, alpha, eta, k)

@@ -19,11 +19,14 @@ class LinalgError(ValueError):
 class Matrix:
     def __init__(self, field: GaloisField, data: Sequence[Sequence[int]],
                  cols: int | None = None):
-        rows = [tuple(field.check(x) for x in r) for r in data]
+        rows = [tuple(r) for r in data]
         if rows:
             cols = len(rows[0])
             if any(len(r) != cols for r in rows):
                 raise LinalgError("ragged rows")
+            if cols and (min(map(min, rows)) < 0
+                         or max(map(max, rows)) >= field.order):
+                raise FieldError(f"entry outside GF({field.order})")
         elif cols is None:
             raise LinalgError("zero-row matrix needs an explicit column count")
         if cols < 0:
@@ -103,9 +106,7 @@ class Matrix:
         return Matrix(self.field, list(zip(*self.data)), cols=self.rows)
 
     def conj_transpose(self) -> "Matrix":
-        frob = self.field.frobenius
-        conj = [[frob(x) for x in row] for row in self.data]
-        return Matrix(self.field, list(zip(*conj)) if conj else [], cols=self.rows)
+        return frobenius_image(self).transpose()
 
     def scale_rows(self, c: int) -> "Matrix":
         mul = self.field.mul

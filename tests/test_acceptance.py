@@ -15,7 +15,6 @@ from gtrscodes import (
     check_self_dual_criterion,
     classify_eta,
     code,
-    codes_equal,
     dual_params,
     generator_matrix,
     inverse_vandermonde_identity_check,
@@ -189,7 +188,7 @@ def test_criterion_6_and_8_group_duality():
                 failures += 1
                 continue
             c = code(params)
-            if not codes_equal(code(dual_params(params)), c.dual_euclidean()):
+            if not code(dual_params(params)).equals(c.dual_euclidean()):
                 failures += 1
     report(6, checked == 900 and failures == 0,
            f"{checked} random twist configs on 9 subgroups of GF(49)*: "
@@ -216,7 +215,7 @@ def test_criterion_7_plus_dual_closed_form():
         params = plus_gtrs(f, alpha, v, eta, k)
         dual = plus_dual_euclidean(params)
         checked += 1
-        if not codes_equal(code(dual), code(params).dual_euclidean()):
+        if not code(dual).equals(code(params).dual_euclidean()):
             failures += 1
     report(7, failures == 0,
            f"500 random single-twist instances over GF(9)/GF(25)/GF(49): "

@@ -228,3 +228,24 @@ def test_missing_file(capsys):
     rc, _, err = run(capsys, "verify", "/no/such/file.json")
     assert rc == 2
     assert "error" in json.loads(err)
+
+
+def test_malformed_inputs_exit_2(capsys, tmp_path, gf7):
+    good = LinearCode(gf7, Matrix(gf7, [[1, 2, 3], [0, 1, 4]])).to_dict()
+    rank_deficient = dict(good, generator=[good["generator"][0]] * 2)
+    ragged = dict(good, generator=[good["generator"][0],
+                                   good["generator"][1][:2]])
+    for name, doc in (("list", [1, 2]), ("rank", rank_deficient),
+                      ("ragged", ragged)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        rc, out, err = run(capsys, "classify", str(path))
+        assert rc == 2 and out == ""
+        assert "error" in json.loads(err)
+
+
+def test_cap_zero_is_rejected(capsys, tmp_path, gf7):
+    path = write_code(tmp_path, LinearCode(gf7, Matrix(gf7, [[1, 2, 3]])))
+    rc, _, err = run(capsys, "classify", path, "--cap", "0")
+    assert rc == 2
+    assert json.loads(err)["message"] == "caps must be positive"

@@ -8,12 +8,13 @@ from gtrscodes import (
     DistanceCapExceeded,
     LinearCode,
     Matrix,
-    codes_equal,
     frobenius_image,
 )
 
 from gtrscodes.reference import verify_reference_rows
 from gtrscodes.selfdual import construct_class1, construct_class2
+
+from conftest import field_q2
 
 
 def naive_min_distance(code):
@@ -50,7 +51,7 @@ def test_dual_euclidean_full_space(gf7):
     c = LinearCode(gf7, Matrix.identity(gf7, 3))
     d = c.dual_euclidean()
     assert d.k == 0 and d.n == 3
-    assert codes_equal(d.dual_euclidean(), c)
+    assert d.dual_euclidean().equals(c)
 
 
 def test_dual_euclidean_repetition(gf7):
@@ -73,7 +74,7 @@ def test_dual_euclidean_random_gram(gf49):
         d = c.dual_euclidean()
         assert d.k == 3
         assert c.gen.mul(d.gen.transpose()).is_zero()
-        assert codes_equal(d.dual_euclidean(), c)
+        assert d.dual_euclidean().equals(c)
 
 
 def test_dual_hermitian(gf49, gf7):
@@ -83,10 +84,10 @@ def test_dual_hermitian(gf49, gf7):
         d = c.dual_hermitian()
         assert d.k == 4
         assert c.gen.mul(d.gen.conj_transpose()).is_zero()
-        assert codes_equal(d, LinearCode(gf49, frobenius_image(c.gen)).dual_euclidean())
+        assert d.equals(LinearCode(gf49, frobenius_image(c.gen)).dual_euclidean())
     # subfield-entry generator: Hermitian dual coincides with Euclidean
     sub = LinearCode(gf49, Matrix(gf49, [[1, 2, 3, 4], [0, 1, 5, 6]]))
-    assert codes_equal(sub.dual_hermitian(), sub.dual_euclidean())
+    assert sub.dual_hermitian().equals(sub.dual_euclidean())
     plain = LinearCode(gf7, Matrix(gf7, [[1, 0], [0, 1]]))
     from gtrscodes import FieldError
     with pytest.raises(FieldError):
@@ -102,7 +103,7 @@ def test_is_hermitian_self_dual(gf49):
     res = construct_class1(gf49, 0, gf49.subfield_elements()[1:])
     for _eta, _label, code in res.codes():
         assert code.is_hermitian_self_dual()
-        assert codes_equal(code.dual_hermitian(), code)
+        assert code.dual_hermitian().equals(code)
 
 
 def test_min_distance_repetition(gf9):
@@ -113,7 +114,7 @@ def test_min_distance_repetition(gf9):
 
 def test_min_distance_against_naive(gf7, gf9):
     rng = random.Random(19)
-    for field in (gf7, gf9):
+    for field in (gf7, gf9, field_q2(4)):     # GF(16): the XOR add path
         for _ in range(8):
             n = rng.randint(2, 6)
             k = rng.randint(1, min(3, n))
@@ -169,12 +170,12 @@ def test_classify(gf7, gf49):
 def test_codes_equal_and_errors(gf7, gf9):
     a = LinearCode(gf7, Matrix(gf7, [[1, 2, 3], [0, 1, 1]]))
     permuted = LinearCode(gf7, Matrix(gf7, [[0, 1, 1], [1, 2, 3]]))
-    assert codes_equal(a, permuted)
-    assert not codes_equal(a, a.dual_euclidean())
+    assert a.equals(permuted)
+    assert not a.equals(a.dual_euclidean())
     with pytest.raises(CodeError):
-        codes_equal(a, LinearCode(gf7, Matrix(gf7, [[1, 2]])))
+        a.equals(LinearCode(gf7, Matrix(gf7, [[1, 2]])))
     with pytest.raises(CodeError):
-        codes_equal(a, LinearCode(gf9, Matrix(gf9, [[1, 2, 3]])))
+        a.equals(LinearCode(gf9, Matrix(gf9, [[1, 2, 3]])))
 
 
 def test_dim_sum(gf49):
@@ -192,7 +193,7 @@ def test_serialization_roundtrip(gf49):
     c = random_code(gf49, 6, 3, rng)
     d = c.to_dict()
     back = LinearCode.from_dict(d)
-    assert codes_equal(back, c) and back.gen == c.gen
+    assert back.equals(c) and back.gen == c.gen
 
 
 def test_reference_rows_all_pass():

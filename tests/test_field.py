@@ -1,6 +1,15 @@
-import pytest
+import functools
+import os
+import subprocess
+import sys
 
-from gtrscodes import FieldError, GaloisField, build_field
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import gtrscodes
+from gtrscodes import FieldError, GaloisField
+from gtrscodes.field import TABLE_CAP
 
 from conftest import field_q2
 
@@ -23,7 +32,7 @@ def test_gf7_default_generator_is_three(gf7):
 
 
 def test_gf2_generator():
-    f = build_field(2, 1)
+    f = GaloisField(2, 1)
     assert f.generator == 1
     assert f.order == 2
 
@@ -42,11 +51,11 @@ def test_gf49_modulus_is_first_irreducible_quadratic(gf49):
 
 def test_build_field_errors():
     with pytest.raises(FieldError):
-        build_field(6)
+        GaloisField(6)
     with pytest.raises(FieldError):
-        build_field(7, 2, modulus=[0, 0, 1])      # x^2, reducible
+        GaloisField(7, 2, modulus=[0, 0, 1])      # x^2, reducible
     with pytest.raises(FieldError):
-        build_field(7, 1, generator=2)            # order 3, not primitive
+        GaloisField(7, 1, generator=2)            # order 3, not primitive
 
 
 def test_basic_arithmetic(gf7, gf49):
@@ -61,7 +70,7 @@ def test_basic_arithmetic(gf7, gf49):
 
 @pytest.mark.parametrize("p,m", [(2, 1), (7, 1), (3, 2), (7, 2), (2, 4), (13, 2)])
 def test_exp_log_roundtrip_and_unit_group(p, m):
-    f = build_field(p, m)
+    f = GaloisField(p, m)
     n1 = f.order - 1
     for i in range(n1):
         assert f.log[f.exp[i]] == i
@@ -71,7 +80,7 @@ def test_exp_log_roundtrip_and_unit_group(p, m):
 
 
 def test_field_axioms_exhaustive_gf9():
-    f = build_field(3, 2)
+    f = GaloisField(3, 2)
     for x in f.elements():
         for y in f.elements():
             assert f.add(x, y) == f.add(y, x)
@@ -99,7 +108,7 @@ def test_frobenius_basics(gf49):
         assert gf49.frobenius(x) == x
     for x in gf49.elements():
         assert gf49.frobenius(gf49.frobenius(x)) == x
-    plain = build_field(7, 3)
+    plain = GaloisField(7, 3)
     with pytest.raises(FieldError):
         plain.frobenius(2)
 
@@ -201,3 +210,72 @@ def test_serialization_roundtrip(gf49):
     assert f2 == gf49
     x = gf49.exp[17]
     assert gf49.from_coeffs(gf49.coeffs(x)) == x
+
+
+def digit_add(p, x, y, sign=1):
+    """x + sign*y computed digit by digit mod p (independent oracle)."""
+    out, place = 0, 1
+    while x or y:
+        out += (x % p + sign * (y % p)) % p * place
+        x, y, place = x // p, y // p, place * p
+    return out
+
+
+# GF(2^m) on both sides of TABLE_CAP, odd p with a table (a prime field, an
+# extension, 61^2 near the cap) and odd p above the cap (67^2)
+TABLE_FIELDS = [(2, 4), (2, 12), (2, 16), (7, 1), (4093, 1), (3, 5), (61, 2), (67, 2)]
+
+
+@functools.lru_cache(maxsize=None)
+def table_field(p, m):
+    return GaloisField(p, m)
+
+
+@pytest.mark.parametrize("p,m", TABLE_FIELDS)
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_add_neg_sub_against_digit_oracle(p, m, data):
+    f = table_field(p, m)
+    x = data.draw(st.integers(0, f.order - 1))
+    y = data.draw(st.integers(0, f.order - 1))
+    s = f.add(x, y)
+    assert s == digit_add(p, x, y) and type(s) is int
+    assert f.neg(y) == digit_add(p, 0, y, sign=-1)
+    assert f.sub(x, y) == digit_add(p, x, y, sign=-1)
+
+
+@pytest.mark.parametrize("p,m", TABLE_FIELDS)
+def test_vectorised_add_matches_scalar(p, m):
+    f = table_field(p, m)
+    if f.order > TABLE_CAP:
+        with pytest.raises(FieldError):
+            f.np_tables()
+        return
+    _, _, addt = f.np_tables()
+    rng = np.random.default_rng(p * 100 + m)
+    xs, ys = rng.integers(0, f.order, size=(2, 500))
+    vec = xs ^ ys if addt is None else addt[xs, ys]
+    assert addt is None if p == 2 else addt.shape == (f.order, f.order)
+    assert vec.tolist() == [f.add(int(x), int(y)) for x, y in zip(xs, ys)]
+
+
+def test_large_fields_construct_and_compute():
+    for p, m in ((67, 2), (2, 16)):
+        f = table_field(p, m)
+        w = f.generator
+        assert f.mul(w, f.inv(w)) == 1
+        assert f.pow(w, f.order - 1) == 1
+        assert f.add(w, f.neg(w)) == 0
+    with pytest.raises(FieldError):
+        GaloisField(2, 17)
+    with pytest.raises(FieldError):
+        GaloisField(257, 2)
+
+
+def test_import_leaves_numpy_unloaded():
+    src = os.path.dirname(os.path.dirname(gtrscodes.__file__))
+    code = "import sys, gtrscodes; print('numpy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src}).stdout
+    assert out.strip() == "False"

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from gtrscodes import (
+    FieldError,
     LinalgError,
     Matrix,
     frobenius_image,
@@ -132,3 +133,11 @@ def test_inverse_vandermonde_identity_errors(gf49):
     alpha3 = sorted({f.pow(f.generator, i) for i in range(3)})
     assert is_multiplicative_subgroup(f, alpha3)
     assert inverse_vandermonde_identity_check(f, alpha3)
+
+
+def test_entries_checked_once_per_matrix(gf7):
+    for bad in ([[7]], [[1, 2], [3, -1]]):
+        with pytest.raises(FieldError):
+            Matrix(gf7, bad)
+    assert Matrix(gf7, [[], []]).cols == 0
+    assert Matrix(gf7, [[0, 6]]).data == ((0, 6),)
