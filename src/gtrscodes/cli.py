@@ -64,16 +64,53 @@ def _json(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True)
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int)
+
+
+def _is_coeffs(x) -> bool:
+    return isinstance(x, list) and all(map(_is_int, x))
+
+
+def _list_of(ok):
+    return lambda x: isinstance(x, list) and all(map(ok, x))
+
+
+def _is_twist(x) -> bool:
+    return (isinstance(x, list) and len(x) == 3 and _is_int(x[0])
+            and _is_int(x[1]) and _is_coeffs(x[2]))
+
+
+# JSON type of each key the loaders read; a missing key stays a KeyError.
+_FIELD_SHAPE = {"p": _is_int, "m": _is_int,
+                "modulus": lambda x: x is None or _is_coeffs(x),
+                "generator": lambda x: x is None or _is_int(x) or _is_coeffs(x)}
+_DATUM_SHAPE = {"alpha": _list_of(_is_coeffs), "v": _list_of(_is_coeffs),
+                "k": _is_int, "twists": _list_of(_is_twist)}
+_RAW_SHAPE = {"n": _is_int, "generator": _list_of(_list_of(_is_coeffs))}
+
+
+def _check_shape(obj: dict, shape: dict, where: str = "") -> None:
+    for key, ok in shape.items():
+        if key in obj and not ok(obj[key]):
+            raise UsageError(f"malformed input: {where}{key!r} has the wrong type")
+
+
 def _load_input(path: str) -> tuple[GaloisField, GTRSParams | None, LinearCode]:
-    """A file holds either a full twisted-code datum or a raw generator."""
+    """A file holds either a full twisted-code datum or a raw generator.  The
+    shape of the document is checked here, before any constructor reads it."""
     with open(path) as fh:
         data = json.load(fh)
     if not isinstance(data, dict):
         raise UsageError("input must be a JSON object")
+    _check_shape(data, {"field": lambda x: isinstance(x, dict)})
+    _check_shape(data["field"], _FIELD_SHAPE, "field ")
     field = GaloisField.from_dict(data["field"])
     if "twists" in data:
+        _check_shape(data, _DATUM_SHAPE)
         params = GTRSParams.from_dict(data, field=field)
         return field, params, LinearCode(field, generator_matrix(params))
+    _check_shape(data, _RAW_SHAPE)
     return field, None, LinearCode.from_dict(data, field=field)
 
 
@@ -146,7 +183,7 @@ def cmd_classify(args) -> int:
         report["subset_criterion_mds"] = subset_verdict
     try:
         d = code.min_distance(cfg.distance_cap)
-        label = code.classify(cfg.distance_cap)
+        label = code._class_of(d, cfg.distance_cap)
         report["d"] = d
         report["class"] = label
         if subset_verdict is not None and subset_verdict != (label == "MDS"):

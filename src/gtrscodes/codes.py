@@ -128,7 +128,10 @@ class LinearCode:
     def classify(self, cap: int = DEFAULT_DISTANCE_CAP) -> str:
         """MDS / AMDS / NMDS / other.  The dual distance is only computed in
         the d = n - k case, the only one where NMDS is possible."""
-        d = self.min_distance(cap)
+        return self._class_of(self.min_distance(cap), cap)
+
+    def _class_of(self, d: int, cap: int) -> str:
+        """`classify` for a code whose minimum distance d is known."""
         if d == self.n - self.k + 1:
             return "MDS"
         if d == self.n - self.k:

@@ -60,32 +60,22 @@ def check_self_dual_criterion(params: GTRSParams) -> bool:
     gen = generator_matrix(params)
     gram_ok = gen.mul(gen.conj_transpose()).is_zero()
 
-    # polynomial route
+    # polynomial route: every target column lies in the column space of the
+    # dual-shape basis B, i.e. rank [B | targets] = rank B
     c = field.div(eta, denom)
     u = u_vector(field, params.alpha)
     rows = []
-    for ai in params.alpha:
-        row = [field.pow(ai, j) if j else 1 for j in range(k - 1)]
-        top = field.sub(field.pow(ai, k - 1), field.mul(c, field.pow(ai, k)))
-        row.append(top)
-        rows.append(row)
-    poly_ok = True
-    for basis in range(k):
-        f = [0] * k
-        f[basis] = 1
-        target = []
-        for i, (ai, vi) in enumerate(zip(params.alpha, params.v)):
-            # f(alpha_i) for the twisted expansion of the basis vector
-            val = field.pow(ai, basis) if basis else 1
-            if basis == k - 1:
-                val = field.add(val, field.mul(eta, field.pow(ai, k)))
-            w = field.mul(field.pow(vi, q + 1), field.pow(val, q))
-            target.append(field.div(w, u[i]))
-        aug = Matrix(field, [r + [t] for r, t in zip(rows, target)], cols=k + 1)
-        base = Matrix(field, rows, cols=k)
-        if aug.rank() != base.rank():
-            poly_ok = False
-            break
+    for ai, vi, ui in zip(params.alpha, params.v, u):
+        powers = [field.pow(ai, j) for j in range(k + 1)]
+        base = powers[:k - 1] + [
+            field.sub(powers[k - 1], field.mul(c, powers[k]))]
+        # f(alpha_i) for the twisted expansion of each basis vector
+        vals = powers[:k - 1] + [
+            field.add(powers[k - 1], field.mul(eta, powers[k]))]
+        scale = field.div(field.pow(vi, q + 1), ui)
+        rows.append(base + [field.mul(scale, field.pow(x, q)) for x in vals])
+    poly_ok = (Matrix(field, rows, cols=2 * k).rank()
+               == Matrix(field, [r[:k] for r in rows], cols=k).rank())
     if gram_ok != poly_ok:
         raise RuntimeError(
             "internal invariant violated: Gram and polynomial self-duality "
@@ -94,13 +84,14 @@ def check_self_dual_criterion(params: GTRSParams) -> bool:
 
 
 def zeta_roots(field: GaloisField) -> list[int]:
-    """The q distinct nonzero roots of z^q + z^(q-1) + 1 over GF(q^2)."""
+    """The q distinct nonzero roots of z^q + z^(q-1) + 1 over GF(q^2).
+
+    For z != 0 the equation times z reads N(z) + Tr(z) = 0, and N(z+1) =
+    (z+1)(z^q+1) = N(z) + Tr(z) + 1, so the roots are z = y - 1 with
+    N(y) = y^(q+1) = 1 and y != 1."""
     q = field._require_square()
-    coeffs = [0] * (q + 1)
-    coeffs[0] = 1
-    coeffs[q - 1] = 1
-    coeffs[q] = 1
-    roots = sorted(field.poly_roots(coeffs))
+    roots = sorted(field.sub(y, 1) for y in field.power_roots(q + 1, 1)
+                   if y != 1)
     if len(roots) != q or 0 in roots:
         raise RuntimeError(
             f"expected {q} distinct nonzero roots, found {len(roots)}")
@@ -197,29 +188,36 @@ def _validate_inputs(field: GaloisField, a_l: int, x_subset) -> tuple[int, int, 
 
 def _finish(field: GaloisField, construction: str, a_l: int, m, x, alpha, v,
             a: int, candidates: list[int]) -> ConstructionResult:
-    kept = []
-    filtered = 0
-    for eta in candidates:
-        if field.add(1, field.mul(a, eta)) == 0:
-            filtered += 1
-            continue
-        kept.append(eta)
+    kept = [eta for eta in candidates if field.add(1, field.mul(a, eta)) != 0]
     if not kept:
         raise ConstructionError("no admissible eta candidates for this input")
-    eta_list = []
-    for eta in kept:
-        params = plus_gtrs(field, alpha, v, eta, len(alpha) // 2)
-        if not check_self_dual_criterion(params):
-            raise RuntimeError("constructed code failed the self-duality criterion")
-        eta_list.append((eta, classify_eta(field, alpha, eta)))
+    eta_list = tuple((eta, classify_eta(field, alpha, eta)) for eta in kept)
     return ConstructionResult(construction, field, a_l, m, tuple(x),
-                              tuple(alpha), tuple(v), a, tuple(eta_list),
-                              filtered)
+                              tuple(alpha), tuple(v), a, eta_list,
+                              len(candidates) - len(kept))
+
+
+def _verified(res: ConstructionResult) -> ConstructionResult:
+    """Run both self-duality routes on every listed eta of a built result."""
+    for eta, _ in res.eta_list:
+        if not check_self_dual_criterion(res.params(eta)):
+            raise RuntimeError("constructed code failed the self-duality criterion")
+    return res
 
 
 def construct_class1(field: GaloisField, a_l: int, x_subset) -> ConstructionResult:
     """Locators a_l * w + x_i with x_i distinct subfield elements, n = 2k <= q.
     Fails when the locator sum is zero in characteristic 2."""
+    return _verified(_build_class1(field, a_l, x_subset))
+
+
+def construct_class2(field: GaloisField, a_l: int, m: int, x_subset) -> ConstructionResult:
+    """Locators a_l + w^m * x_i, 1 <= m <= q, with x_i distinct subfield
+    elements, n = 2k <= q."""
+    return _verified(_build_class2(field, a_l, m, x_subset))
+
+
+def _build_class1(field: GaloisField, a_l: int, x_subset) -> ConstructionResult:
     q, n, k = _validate_inputs(field, a_l, x_subset)
     x = list(x_subset)
     w = field.generator
@@ -250,9 +248,7 @@ def construct_class1(field: GaloisField, a_l: int, x_subset) -> ConstructionResu
     return _finish(field, "I", a_l, None, x, alpha, v, a, candidates)
 
 
-def construct_class2(field: GaloisField, a_l: int, m: int, x_subset) -> ConstructionResult:
-    """Locators a_l + w^m * x_i, 1 <= m <= q, with x_i distinct subfield
-    elements, n = 2k <= q."""
+def _build_class2(field: GaloisField, a_l: int, m: int, x_subset) -> ConstructionResult:
     q, n, k = _validate_inputs(field, a_l, x_subset)
     if not (1 <= m <= q):
         raise ConstructionError(f"m must lie in [1, {q}]")
@@ -308,8 +304,9 @@ def canonical_x_subsets(field: GaloisField, n: int) -> list[tuple[int, ...]]:
 def sweep_constructions(field: GaloisField, n_values=None,
                         classes=("I", "II")) -> list[ConstructionResult]:
     """Enumerate both families over all coset labels (and direction exponents
-    for class II) with canonical x subsets; deduplicate by the generator row
-    spaces; deterministic output order."""
+    for class II) with canonical x subsets; deduplicate the built results by
+    their generator row spaces first, then verify only the kept ones, so both
+    self-duality routes run once per listed code; deterministic output order."""
     q = field._require_square()
     if q > 16:
         raise ConstructionError("sweep capped at q <= 16")
@@ -331,10 +328,8 @@ def sweep_constructions(field: GaloisField, n_values=None,
                     raise ConstructionError(f"unknown class {cls_name!r}")
                 for a_l, m in configs:
                     try:
-                        if cls_name == "I":
-                            res = construct_class1(field, a_l, x)
-                        else:
-                            res = construct_class2(field, a_l, m, x)
+                        res = (_build_class1(field, a_l, x) if m is None
+                               else _build_class2(field, a_l, m, x))
                     except ConstructionError:
                         continue
                     key = tuple(sorted(
@@ -343,5 +338,5 @@ def sweep_constructions(field: GaloisField, n_values=None,
                     if key in seen:
                         continue
                     seen.add(key)
-                    results.append(res)
+                    results.append(_verified(res))
     return results

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -122,6 +123,32 @@ def test_classify_cap_exceeded(capsys, tmp_path, gf49, monkeypatch):
     assert json.loads(out)["d"] is None
 
 
+def test_classify_enumerates_once(capsys, tmp_path, gf49, monkeypatch):
+    calls = []
+    real = LinearCode.min_distance
+
+    def counted(self, *args):
+        calls.append(self.k)
+        return real(self, *args)
+
+    monkeypatch.setattr(LinearCode, "min_distance", counted)
+    res = construct_class1(gf49, 1, gf49.subfield_elements()[:6])
+    eta = next(e for e, lbl in res.eta_list if lbl == "MDS")
+    rc, out, _ = run(capsys, "classify", write_params(tmp_path, res.params(eta)))
+    assert rc == 0 and json.loads(out)["class"] == "MDS"
+    assert len(calls) == 1
+    # [4,1,3]: d = n - k, but the [4,3] dual needs 49^3 > 1000 messages, so
+    # the reply carries the subset verdict only
+    path = write_params(tmp_path, plus_gtrs(gf49, [1, 2, 3, 4], [1] * 4,
+                                            gf49.neg(1), 1))
+    calls.clear()
+    rc, out, _ = run(capsys, "classify", path, "--cap", "1000")
+    assert rc == 0 and calls == [1, 3]
+    doc = json.loads(out)
+    assert doc["d"] is None and doc["class"] is None
+    assert doc["subset_criterion_mds"] is False
+
+
 def test_dual_modes(capsys, tmp_path, gf49):
     # 8th roots of unity form a multiplicative subgroup
     w = gf49.generator
@@ -201,6 +228,15 @@ def test_sweep_label_needs_attained_half_sum(capsys):
     assert rows[0]["classification"] == "MDS"
 
 
+def test_sweep_catalog_pinned(capsys):
+    # the catalog as first published; a refactor must not change it silently
+    rc, out, _ = run(capsys, "sweep", "--q", "3", "5", "7", "--class", "both",
+                     "--format", "csv")
+    assert rc == 0 and len(out.splitlines()) == 182
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "f5d17dce25f56706e03a15b89654285c05fd7faa58cdae1021bdf40a8c4a27eb")
+
+
 def test_sweep_q2_minimal(capsys):
     # n = 2 forces k = 1; the x = {0, 1} subset has locator sum 1, so the
     # characteristic-2 exclusion never triggers and valid codes exist
@@ -230,13 +266,17 @@ def test_missing_file(capsys):
     assert "error" in json.loads(err)
 
 
-def test_malformed_inputs_exit_2(capsys, tmp_path, gf7):
+def test_malformed_inputs_exit_2(capsys, tmp_path, gf7, gf49):
     good = LinearCode(gf7, Matrix(gf7, [[1, 2, 3], [0, 1, 4]])).to_dict()
     rank_deficient = dict(good, generator=[good["generator"][0]] * 2)
     ragged = dict(good, generator=[good["generator"][0],
                                    good["generator"][1][:2]])
+    datum = construct_class1(gf49, 1, gf49.subfield_elements()[:6])
+    datum = datum.params(datum.eta_list[0][0]).to_dict()
     for name, doc in (("list", [1, 2]), ("rank", rank_deficient),
-                      ("ragged", ragged)):
+                      ("ragged", ragged), ("field", {"field": [1]}),
+                      ("int_generator", dict(good, generator=[[1, 2]])),
+                      ("int_alpha", dict(datum, alpha=5))):
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(doc))
         rc, out, err = run(capsys, "classify", str(path))

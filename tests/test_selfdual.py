@@ -44,7 +44,7 @@ def test_criterion_errors(gf49):
         check_self_dual_criterion(params)
 
 
-@pytest.mark.parametrize("q", [2, 3, 5, 7, 8, 9, 11])
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 16])
 def test_zeta_roots_count(q):
     f = field_q2(q)
     roots = zeta_roots(f)
@@ -207,6 +207,24 @@ def test_sweep_q7_contains_row1_family():
     assert hit
     etas = {e for r in hit for e, _ in r.eta_list}
     assert all(f.pow(e, 6) == f.neg(1) for e in etas)
+
+
+def test_sweep_verifies_each_kept_code_once(gf49, monkeypatch):
+    import gtrscodes.selfdual as selfdual
+    calls = []
+
+    def counted(params):
+        calls.append(params)
+        return check_self_dual_criterion(params)
+
+    monkeypatch.setattr(selfdual, "check_self_dual_criterion", counted)
+    results = sweep_constructions(gf49)
+    assert len(calls) == sum(len(r.eta_list) for r in results) > 0
+    # a failed check on a kept code still stops the sweep
+    monkeypatch.setattr(selfdual, "check_self_dual_criterion",
+                        lambda params: False)
+    with pytest.raises(RuntimeError):
+        sweep_constructions(gf49)
 
 
 def test_serialization(gf49):
