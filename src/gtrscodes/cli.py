@@ -182,19 +182,26 @@ def cmd_classify(args) -> int:
                                      params.k)
         report["subset_criterion_mds"] = subset_verdict
     try:
-        d = code.min_distance(cfg.distance_cap)
-        label = code._class_of(d, cfg.distance_cap)
-        report["d"] = d
-        report["class"] = label
-        if subset_verdict is not None and subset_verdict != (label == "MDS"):
-            raise RuntimeError(
-                "subset criterion disagrees with exhaustive distance")
+        label = code.classify(cfg.distance_cap)
     except DistanceCapExceeded as exc:
         report["d"] = None
         report["class"] = None
         report["note"] = f"distance cap exceeded ({exc}); subset verdict only"
         if subset_verdict is None:
             raise UsageError(str(exc))
+        _emit(_json(report), cfg.out)
+        return 0
+    if subset_verdict is not None and subset_verdict != (label == "MDS"):
+        raise RuntimeError("subset criterion disagrees with the column ranks")
+    report["class"] = label
+    if label == "other":
+        try:
+            report["d"] = code.min_distance(cfg.distance_cap)
+        except DistanceCapExceeded as exc:
+            report["d"] = None
+            report["note"] = f"distance cap exceeded ({exc}); class only"
+    else:
+        report["d"] = code.n - code.k + (label == "MDS")
     _emit(_json(report), cfg.out)
     return 0
 
@@ -313,7 +320,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     cla = sub.add_parser("classify", help="exact [n,k,d] and MDS/NMDS class")
     cla.add_argument("file")
-    cla.add_argument("--cap", type=int)
+    cla.add_argument("--cap", type=int,
+                     help="bound on codewords enumerated or column subsets "
+                          "ranked (default: GTRS_DISTANCE_CAP or 2^24)")
     cla.add_argument("--out")
     cla.set_defaults(func=cmd_classify)
 

@@ -1,7 +1,11 @@
 """Generic linear codes: duals under both inner products, exact minimum
-distance by exhaustive enumeration, and MDS/AMDS/NMDS classification."""
+distance by exhaustive enumeration, and MDS/AMDS/NMDS classification from
+the ranks of column subsets."""
 
 from __future__ import annotations
+
+from itertools import combinations
+from math import comb
 
 from .field import FieldError, GaloisField
 from .linalg import LinalgError, Matrix, frobenius_image
@@ -126,18 +130,41 @@ class LinearCode:
         return best
 
     def classify(self, cap: int = DEFAULT_DISTANCE_CAP) -> str:
-        """MDS / AMDS / NMDS / other.  The dual distance is only computed in
-        the d = n - k case, the only one where NMDS is possible."""
-        return self._class_of(self.min_distance(cap), cap)
+        """MDS / AMDS / NMDS / other, from the ranks of column subsets of G.
 
-    def _class_of(self, d: int, cap: int) -> str:
-        """`classify` for a code whose minimum distance d is known."""
-        if d == self.n - self.k + 1:
+        d >= t iff every n - t + 1 columns of G have rank k, and the dual
+        distance is the size of the smallest dependent column set
+        (MacWilliams & Sloane, ch. 1 and 11).  The rules, in order:
+
+        - MDS: every k columns are independent (d = n - k + 1);
+        - NMDS: every k + 1 columns have rank k (d = n - k) and every k - 1
+          columns are independent (dual distance k);
+        - AMDS: every k + 1 columns have rank k, some k - 1 are dependent;
+        - other: everything else.
+
+        Each scan stops at its first failing subset, and the cost does not
+        depend on q.  `cap` bounds the column subsets ranked:
+        DistanceCapExceeded is raised before any work when
+        C(n, k-1) + C(n, k) + C(n, k+1) exceeds it.
+        """
+        n, k = self.n, self.k
+        if k == 0:
+            raise CodeError("class of the zero code is undefined")
+        subsets = comb(n, k - 1) + comb(n, k) + comb(n, k + 1)
+        if subsets > cap:
+            raise DistanceCapExceeded(
+                f"{subsets} column subsets exceed the cap {cap}")
+        cols = list(zip(*self.gen.data))
+
+        def every(size: int, rank: int) -> bool:
+            return all(_rank(self.field, [cols[i] for i in s]) == rank
+                       for s in combinations(range(n), size))
+
+        if every(k, k):
             return "MDS"
-        if d == self.n - self.k:
-            dual_d = self.dual_euclidean().min_distance(cap)
-            return "NMDS" if dual_d == self.k else "AMDS"
-        return "other"
+        if not every(k + 1, k):
+            return "other"
+        return "NMDS" if every(k - 1, k - 1) else "AMDS"
 
     # -- serialization ---------------------------------------------------------------
 
@@ -155,3 +182,21 @@ class LinearCode:
         f = field or GaloisField.from_dict(d["field"])
         rows = [[f.from_coeffs(c) for c in row] for row in d["generator"]]
         return cls(f, Matrix(f, rows, cols=d["n"]))
+
+
+def _rank(field: GaloisField, vecs) -> int:
+    """Rank of a list of vectors over the field, by elimination with scalar
+    field ops; each kept vector is reduced at the earlier pivots and scaled
+    to 1 at its own."""
+    mul, add, neg, inv = field.mul, field.add, field.neg, field.inv
+    basis = []
+    for v in vecs:
+        for p, b in basis:
+            if v[p]:
+                t = neg(v[p])
+                v = [add(x, mul(t, y)) for x, y in zip(v, b)]
+        p = next((i for i, x in enumerate(v) if x), None)
+        if p is not None:
+            s = inv(v[p])
+            basis.append((p, [mul(s, x) for x in v]))
+    return len(basis)

@@ -2,7 +2,8 @@ import functools
 
 import pytest
 
-from gtrscodes import GaloisField, quadratic_extension, sweep_constructions
+from gtrscodes import (DEFAULT_DISTANCE_CAP, GaloisField, quadratic_extension,
+                       sweep_constructions)
 
 
 @functools.lru_cache(maxsize=None)
@@ -14,6 +15,19 @@ def field_q2(q: int) -> GaloisField:
 @functools.lru_cache(maxsize=None)
 def sweep_cache(q: int):
     return sweep_constructions(field_q2(q))
+
+
+def exhaustive_class(code, cap: int = DEFAULT_DISTANCE_CAP) -> str:
+    """MDS / AMDS / NMDS / other by exhaustive enumeration: the minimum
+    distance, plus the dual distance when d = n - k.  The oracle for
+    `LinearCode.classify`, which decides from column ranks."""
+    d = code.min_distance(cap)
+    if d == code.n - code.k + 1:
+        return "MDS"
+    if d == code.n - code.k:
+        dual_d = code.dual_euclidean().min_distance(cap)
+        return "NMDS" if dual_d == code.k else "AMDS"
+    return "other"
 
 
 @pytest.fixture(scope="session")

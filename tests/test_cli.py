@@ -3,7 +3,8 @@ import json
 
 import pytest
 
-from gtrscodes import LinearCode, Matrix, construct_class1, plus_gtrs
+from gtrscodes import (LinearCode, Matrix, alpha_sum, construct_class1,
+                       is_mds_plus, plus_gtrs)
 from gtrscodes.cli import main
 
 from conftest import field_q2
@@ -123,7 +124,8 @@ def test_classify_cap_exceeded(capsys, tmp_path, gf49, monkeypatch):
     assert json.loads(out)["d"] is None
 
 
-def test_classify_enumerates_once(capsys, tmp_path, gf49, monkeypatch):
+def test_classify_enumerates_only_other_codes(capsys, tmp_path, gf49,
+                                             monkeypatch):
     calls = []
     real = LinearCode.min_distance
 
@@ -136,16 +138,42 @@ def test_classify_enumerates_once(capsys, tmp_path, gf49, monkeypatch):
     eta = next(e for e, lbl in res.eta_list if lbl == "MDS")
     rc, out, _ = run(capsys, "classify", write_params(tmp_path, res.params(eta)))
     assert rc == 0 and json.loads(out)["class"] == "MDS"
-    assert len(calls) == 1
-    # [4,1,3]: d = n - k, but the [4,3] dual needs 49^3 > 1000 messages, so
-    # the reply carries the subset verdict only
+    assert calls == []
+    # [4,1,3]: the [4,3] dual would need 49^3 > 1000 messages, but the
+    # column-rank classifier ranks 1 + 4 + 6 subsets
     path = write_params(tmp_path, plus_gtrs(gf49, [1, 2, 3, 4], [1] * 4,
                                             gf49.neg(1), 1))
-    calls.clear()
     rc, out, _ = run(capsys, "classify", path, "--cap", "1000")
-    assert rc == 0 and calls == [1, 3]
+    assert rc == 0 and calls == []
     doc = json.loads(out)
-    assert doc["d"] is None and doc["class"] is None
+    assert (doc["class"], doc["d"]) == ("NMDS", 3)
+    assert doc["subset_criterion_mds"] is False
+    # an 'other' code takes its distance from one enumeration; over the cap
+    # the reply keeps the class and gives d = null
+    other = LinearCode(gf49, Matrix(gf49, [[1, 0, 1, 0, 0], [0, 1, 1, 0, 0]]))
+    path = write_code(tmp_path, other)
+    rc, out, _ = run(capsys, "classify", path)
+    assert rc == 0 and calls == [2]
+    doc = json.loads(out)
+    assert (doc["class"], doc["d"]) == ("other", 2)
+    rc, out, _ = run(capsys, "classify", path, "--cap", "100")
+    doc = json.loads(out)
+    assert rc == 0 and (doc["class"], doc["d"]) == ("other", None)
+    assert "note" in doc
+
+
+def test_classify_nmds_12_4_over_gf49(capsys, tmp_path, gf49):
+    # the dual of this [12,4] code has 49^8 codewords, far above the
+    # enumeration cap; the column ranks decide it from 1 507 subsets
+    alpha = list(range(1, 13))
+    a = alpha_sum(gf49, alpha)
+    eta = next(e for e in range(1, gf49.order)
+               if gf49.add(1, gf49.mul(a, e)) and not is_mds_plus(gf49, alpha, e, 4))
+    path = write_params(tmp_path, plus_gtrs(gf49, alpha, [1] * 12, eta, 4))
+    rc, out, _ = run(capsys, "classify", path)
+    assert rc == 0
+    doc = json.loads(out)
+    assert (doc["n"], doc["k"], doc["d"], doc["class"]) == (12, 4, 8, "NMDS")
     assert doc["subset_criterion_mds"] is False
 
 

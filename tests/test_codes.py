@@ -8,13 +8,15 @@ from gtrscodes import (
     DistanceCapExceeded,
     LinearCode,
     Matrix,
+    code,
     frobenius_image,
+    plus_gtrs,
 )
 
 from gtrscodes.reference import verify_reference_rows
 from gtrscodes.selfdual import construct_class1, construct_class2
 
-from conftest import field_q2
+from conftest import exhaustive_class, field_q2
 
 
 def naive_min_distance(code):
@@ -158,13 +160,65 @@ def test_classify(gf7, gf49):
         assert c.classify() == label
         if label == "MDS":
             assert c.dual_euclidean().classify() == "MDS"
-    # an AMDS-but-not-NMDS example: [4,2,2] over GF(7) with dual distance 3
-    amds = LinearCode(gf7, Matrix(gf7, [[1, 0, 1, 0], [0, 1, 1, 1]]))
+    # [4,2,2] over GF(7): columns 2 and 4 are equal, so the dual distance
+    # is 2 = k and the code is NMDS
+    nmds = LinearCode(gf7, Matrix(gf7, [[1, 0, 1, 0], [0, 1, 1, 1]]))
+    assert nmds.min_distance() == 2
+    assert nmds.classify() == "NMDS"
+    # an AMDS-but-not-NMDS example: [4,2,2] with a zero column, dual distance 1
+    amds = LinearCode(gf7, Matrix(gf7, [[1, 0, 1, 0], [0, 1, 1, 0]]))
     assert amds.min_distance() == 2
-    assert amds.classify() in {"AMDS", "NMDS"}
+    assert amds.dual_euclidean().min_distance() == 1
+    assert amds.classify() == "AMDS"
     # 'other' example: [5,2,2], far below the Singleton defect-1 line
     other = LinearCode(gf7, Matrix(gf7, [[1, 0, 1, 0, 0], [0, 1, 1, 0, 0]]))
     assert other.classify() == "other"
+
+
+def test_classify_matches_enumeration(gf7, gf9):
+    """Column-rank labels equal exhaustive labels on seeded random codes,
+    k = 1 and k = n included, and on every criterion-5 code over GF(9)."""
+    rng = random.Random(53)
+    seen = set()
+    edges = set()
+    for field in (gf7, gf9, field_q2(4)):
+        for _ in range(200):
+            n = rng.randint(1, 7)
+            k = rng.randint(1, n)
+            if field.order ** max(k, n - k) > 1 << 17:
+                continue
+            # sparse rows reach the AMDS and 'other' classes often
+            zeros = 0.6 * rng.random()
+            while True:
+                rows = [[0 if rng.random() < zeros else rng.randrange(1, field.order)
+                         for _ in range(n)] for _ in range(k)]
+                if Matrix(field, rows).rank() == k:
+                    break
+            c = LinearCode(field, Matrix(field, rows))
+            label = c.classify()
+            assert label == exhaustive_class(c), (field, rows)
+            seen.add(label)
+            edges.add((field.order, k == 1, k == n))
+    assert seen == {"MDS", "NMDS", "AMDS", "other"}
+    assert {(q, True, False) for q in (7, 9, 16)} <= edges    # k = 1 < n
+    assert {(q, False, True) for q in (7, 9, 16)} <= edges    # k = n > 1
+    sub = gf9.subfield_elements()
+    for n in (2, 3):
+        for alpha in itertools.combinations(sub, n):
+            for k in range(1, n):
+                for eta in range(1, gf9.order):
+                    c = code(plus_gtrs(gf9, alpha, [1] * n, eta, k))
+                    assert c.classify() == exhaustive_class(c)
+
+
+def test_classify_cap_counts_subsets(gf49):
+    # [6,3]: C(6,2) + C(6,3) + C(6,4) = 50 subsets, whatever q is
+    c = random_code(gf49, 6, 3, random.Random(2))
+    with pytest.raises(DistanceCapExceeded):
+        c.classify(cap=49)
+    assert c.classify(cap=50) in {"MDS", "NMDS", "AMDS", "other"}
+    with pytest.raises(CodeError):
+        LinearCode.trivial(gf49, 3).classify()
 
 
 def test_codes_equal_and_errors(gf7, gf9):

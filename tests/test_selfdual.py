@@ -17,7 +17,7 @@ from gtrscodes import (
     zeta_roots,
 )
 
-from conftest import field_q2, sweep_cache
+from conftest import exhaustive_class, field_q2, sweep_cache
 
 
 def test_criterion_on_bundled_instance(gf49):
@@ -74,7 +74,7 @@ def test_classify_eta(gf49):
     labels = {}
     for eta, _lbl, c in res.codes():
         labels[eta] = classify_eta(gf49, res.alpha, eta)
-        assert labels[eta] == c.classify()
+        assert labels[eta] == exhaustive_class(c)
     assert labels[3] == "NMDS"
 
 
