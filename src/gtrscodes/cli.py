@@ -18,10 +18,10 @@ from dataclasses import dataclass
 from .codes import (DEFAULT_DISTANCE_CAP, CodeError, DistanceCapExceeded,
                     LinearCode)
 from .field import FieldError, GaloisField, quadratic_extension
-from .gtrs import (GTRSError, GTRSParams, alpha_sum, dual_params,
+from .gtrs import (GTRSError, GTRSParams, dual_params,
                    generator_matrix, is_mds_plus, plus_dual_euclidean)
-from .linalg import LinalgError, Matrix
-from .reference import verify_reference_rows
+from .linalg import LinalgError
+from .reference import REFERENCE_ROWS, verify_reference_rows
 from .selfdual import (ConstructionError, check_self_dual_criterion,
                        construct_class1, construct_class2,
                        sweep_constructions)
@@ -115,7 +115,12 @@ def _load_input(path: str) -> tuple[GaloisField, GTRSParams | None, LinearCode]:
 
 
 def _parse_elements(field: GaloisField, text: str) -> list[int]:
-    return [field.check(int(tok)) for tok in text.split(",") if tok != ""]
+    try:
+        values = [int(tok) for tok in text.split(",") if tok != ""]
+    except ValueError:
+        raise UsageError(
+            f"--x takes comma-separated integers, got {text!r}") from None
+    return [field.check(x) for x in values]
 
 
 # ---------------------------------------------------------------------------
@@ -280,6 +285,10 @@ def cmd_sweep(args) -> int:
 
 def cmd_reference(args) -> int:
     cfg = RunConfig.from_args(args)
+    shared = min(len(row["eta"]) for row in REFERENCE_ROWS)
+    if args.eta_index is not None and not 0 <= args.eta_index < shared:
+        raise UsageError(f"--eta-index must lie in [0, {shared - 1}]: "
+                         "an index must exist in every bundled row")
     reports = verify_reference_rows(eta_index=args.eta_index)
     for rep in reports:
         status = "PASS" if rep.passed else "FAIL"
@@ -357,7 +366,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (UsageError, ConstructionError, GTRSError, FieldError, CodeError,
-            LinalgError, FileNotFoundError, json.JSONDecodeError,
+            LinalgError, OSError, json.JSONDecodeError, UnicodeDecodeError,
             KeyError) as exc:
         sys.stderr.write(_json({"error": type(exc).__name__,
                                 "message": str(exc)}) + "\n")

@@ -7,8 +7,8 @@ from __future__ import annotations
 from itertools import combinations
 from math import comb
 
-from .field import FieldError, GaloisField
-from .linalg import LinalgError, Matrix, frobenius_image
+from .field import GaloisField
+from .linalg import Matrix, frobenius_image
 
 DEFAULT_DISTANCE_CAP = 1 << 24
 

@@ -340,12 +340,6 @@ class GaloisField:
         """The image of the integer n in the prime subfield."""
         return n % self.p
 
-    def element_order(self, x: int) -> int:
-        if x == 0:
-            raise FieldError("zero has no multiplicative order")
-        n1 = self.order - 1
-        return n1 // gcd(self.log[x], n1)
-
     # -- square-extension structure ------------------------------------------
 
     def _require_square(self) -> int:

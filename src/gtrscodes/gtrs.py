@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from math import comb
 
 from .codes import LinearCode
 from .field import GaloisField, poly_eval

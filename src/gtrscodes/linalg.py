@@ -44,10 +44,6 @@ class Matrix:
         return cls(field, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
     @classmethod
-    def zeros(cls, field: GaloisField, r: int, c: int) -> "Matrix":
-        return cls(field, [[0] * c for _ in range(r)], cols=c)
-
-    @classmethod
     def reversal(cls, field: GaloisField, k: int) -> "Matrix":
         if k < 1:
             raise LinalgError("reversal needs k >= 1")
@@ -96,9 +92,6 @@ class Matrix:
                 orow.append(acc)
             out.append(orow)
         return Matrix(f, out, cols=other.cols)
-
-    def __matmul__(self, other):
-        return self.mul(other)
 
     def transpose(self) -> "Matrix":
         if self.rows == 0:
@@ -171,7 +164,7 @@ class Matrix:
         return tuple(red.data[:rank])
 
     def kernel_basis(self) -> "Matrix":
-        """Full-rank K with self @ K.T = 0 and rank(K) = cols - rank(self)."""
+        """Full-rank K with self K^T = 0 and rank(K) = cols - rank(self)."""
         f = self.field
         red, rank, pivots = self.rref()
         free = [c for c in range(self.cols) if c not in pivots]

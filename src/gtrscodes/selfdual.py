@@ -17,10 +17,11 @@ the equation and give the MDS [2, 1, 2] code.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from bisect import bisect
+from dataclasses import dataclass
 
 from .codes import LinearCode
-from .field import FieldError, GaloisField
+from .field import GaloisField
 from .gtrs import (GTRSError, GTRSParams, alpha_sum, generator_matrix,
                    is_mds_plus, plus_gtrs, u_vector)
 from .linalg import Matrix
@@ -290,6 +291,48 @@ def _build_class2(field: GaloisField, a_l: int, m: int, x_subset) -> Constructio
 # Sweeps
 # ---------------------------------------------------------------------------
 
+def _row_space_keys(res: ConstructionResult) -> tuple:
+    """The sorted RREF row-space keys of the codes of every listed eta, equal
+    to sorted `generator_matrix(res.params(eta)).row_space_key()`.
+
+    Rows v*alpha^i, i < k-1, of G are shared by every eta, and the last row
+    v*(alpha^(k-1) + eta*alpha^k) is affine in eta: the shared rows are
+    reduced once, and each eta costs one normalised row r0' + eta*r1' plus
+    clearing its pivot column from the shared rows (RREF is unique)."""
+    f, k = res.field, res.k
+    mul, add, neg = f.mul, f.add, f.neg
+    rows = [list(res.v)]
+    for _ in range(k):
+        rows.append([mul(x, a) for x, a in zip(rows[-1], res.alpha)])
+    red, rank, pivots = Matrix(f, rows[:k - 1], cols=res.n).rref()
+    degenerate = GTRSError(
+        "degenerate twist configuration: generator rank below k")
+    if rank != k - 1:
+        raise degenerate
+    base = red.data[:rank]
+
+    def reduce(row, red_rows, cols):
+        for b, c in zip(red_rows, cols):
+            if row[c]:
+                t = neg(row[c])
+                row = [add(x, mul(t, y)) for x, y in zip(row, b)]
+        return row
+
+    r0, r1 = reduce(rows[k - 1], base, pivots), reduce(rows[k], base, pivots)
+    keys = []
+    for eta, _ in res.eta_list:
+        w = [add(x, mul(eta, y)) for x, y in zip(r0, r1)]
+        c = next((j for j, x in enumerate(w) if x), None)
+        if c is None:
+            raise degenerate
+        s = f.inv(w[c])
+        w = tuple(mul(s, x) for x in w)
+        out = [tuple(reduce(b, (w,), (c,))) for b in base]
+        out.insert(bisect(pivots, c), w)
+        keys.append(tuple(out))
+    return tuple(sorted(keys))
+
+
 def canonical_x_subsets(field: GaloisField, n: int) -> list[tuple[int, ...]]:
     """Deterministic x subsets per length: the first n subfield elements in
     canonical order, and the first n nonzero ones (the latter reaches the
@@ -332,9 +375,7 @@ def sweep_constructions(field: GaloisField, n_values=None,
                                else _build_class2(field, a_l, m, x))
                     except ConstructionError:
                         continue
-                    key = tuple(sorted(
-                        generator_matrix(res.params(eta)).row_space_key()
-                        for eta, _ in res.eta_list))
+                    key = _row_space_keys(res)
                     if key in seen:
                         continue
                     seen.add(key)

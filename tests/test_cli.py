@@ -265,6 +265,15 @@ def test_sweep_catalog_pinned(capsys):
         "f5d17dce25f56706e03a15b89654285c05fd7faa58cdae1021bdf40a8c4a27eb")
 
 
+def test_full_sweep_catalog_pinned(capsys):
+    # the benchmark's catalog; row-space deduplication matters at q = 9..13
+    rc, out, _ = run(capsys, "sweep", "--q", "3", "5", "7", "9", "11", "13",
+                     "--class", "both", "--format", "csv")
+    assert rc == 0 and len(out.splitlines()) == 1338
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "1ee350672ea71430d4c5bccc86d3767b11218783a033039d71db51d6011385fd")
+
+
 def test_sweep_q2_minimal(capsys):
     # n = 2 forces k = 1; the x = {0, 1} subset has locator sum 1, so the
     # characteristic-2 exclusion never triggers and valid codes exist
@@ -308,6 +317,17 @@ def test_malformed_inputs_exit_2(capsys, tmp_path, gf7, gf49):
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(doc))
         rc, out, err = run(capsys, "classify", str(path))
+        assert rc == 2 and out == ""
+        assert "error" in json.loads(err)
+
+
+def test_bad_arguments_exit_2(capsys, tmp_path):
+    for argv in (("construct", "--class", "I", "--q", "7", "--n", "6",
+                  "--al", "0", "--x", "a,b,c,d,e,f"),
+                 ("reference", "--eta-index", "99"),
+                 ("reference", "--eta-index", "1"),
+                 ("verify", str(tmp_path))):
+        rc, out, err = run(capsys, *argv)
         assert rc == 2 and out == ""
         assert "error" in json.loads(err)
 

@@ -11,11 +11,14 @@ from gtrscodes import (
     code,
     construct_class1,
     construct_class2,
+    generator_matrix,
     is_mds_plus,
     plus_gtrs,
     sweep_constructions,
     zeta_roots,
 )
+from gtrscodes.selfdual import (_build_class1, _build_class2,
+                                _row_space_keys, canonical_x_subsets)
 
 from conftest import exhaustive_class, field_q2, sweep_cache
 
@@ -225,6 +228,58 @@ def test_sweep_verifies_each_kept_code_once(gf49, monkeypatch):
                         lambda params: False)
     with pytest.raises(RuntimeError):
         sweep_constructions(gf49)
+
+
+def built_constructions(field):
+    """Every result the sweep's builders yield over GF(q^2), kept or not."""
+    q = field.q
+    sub = field.subfield_elements()
+    for n in range(2, min(q, 8) + 1, 2):
+        for x in canonical_x_subsets(field, n):
+            for a_l in sub:
+                for m in [None, *range(1, q + 1)]:
+                    try:
+                        yield (_build_class1(field, a_l, x) if m is None
+                               else _build_class2(field, a_l, m, x))
+                    except ConstructionError:
+                        pass
+
+
+@pytest.mark.parametrize("q", [3, 4, 5, 8, 9])
+def test_row_space_keys_match_generator_rref(q):
+    # q = 4 and q = 8 take the characteristic-2 (XOR) addition path
+    built = 0
+    for res in built_constructions(field_q2(q)):
+        oracle = tuple(sorted(generator_matrix(res.params(eta)).row_space_key()
+                              for eta, _ in res.eta_list))
+        assert _row_space_keys(res) == oracle
+        built += 1
+    assert built > 0
+
+
+def test_row_space_keys_rank_guard(gf49):
+    # rows v, v*alpha of a constant-locator [6,3] datum have rank 1 < k - 1
+    flat = ConstructionResult("I", gf49, 0, None, (), (1,) * 6, (1,) * 6, 6,
+                              ((1, "MDS"),))
+    # v*(1 + eta*alpha) vanishes when every locator is -1/eta
+    zero = ConstructionResult("I", gf49, 0, None, (), (gf49.neg(1),) * 2,
+                              (1, 1), gf49.neg(2), ((1, "MDS"),))
+    for res in (flat, zero):
+        with pytest.raises(GTRSError, match="generator rank below k"):
+            _row_space_keys(res)
+
+
+def test_sweep_builds_one_generator_per_kept_code(gf49, monkeypatch):
+    import gtrscodes.selfdual as selfdual
+    calls = []
+
+    def counted(params):
+        calls.append(params)
+        return generator_matrix(params)
+
+    monkeypatch.setattr(selfdual, "generator_matrix", counted)
+    results = sweep_constructions(gf49)
+    assert len(calls) == sum(len(r.eta_list) for r in results) > 0
 
 
 def test_serialization(gf49):
