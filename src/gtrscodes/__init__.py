@@ -11,7 +11,7 @@ from .gtrs import (GTRSError, GTRSParams, TwistSpec, alpha_sum, code,
 from .linalg import (LinalgError, Matrix, frobenius_image,
                      inverse_vandermonde_identity_check,
                      is_multiplicative_subgroup)
-from .selfdual import (ConstructionError, ConstructionResult,
+from .selfdual import (ConstructionError, ConstructionResult, InvariantError,
                        check_self_dual_criterion, classify_eta,
                        construct_class1, construct_class2,
                        sweep_constructions, zeta_roots)
@@ -21,9 +21,9 @@ __version__ = "0.1.0"
 __all__ = [
     "CodeError", "ConstructionError", "ConstructionResult",
     "DEFAULT_DISTANCE_CAP", "DistanceCapExceeded", "FieldError", "GTRSError",
-    "GTRSParams", "GaloisField", "LinalgError", "LinearCode", "Matrix",
-    "TwistSpec", "alpha_sum", "check_self_dual_criterion",
-    "classify_eta", "code", "construct_class1",
+    "GTRSParams", "GaloisField", "InvariantError", "LinalgError",
+    "LinearCode", "Matrix", "TwistSpec", "alpha_sum",
+    "check_self_dual_criterion", "classify_eta", "code", "construct_class1",
     "construct_class2", "dual_params", "dual_parity_matrix", "encode",
     "expand_twisted", "frobenius_image", "generator_matrix",
     "inverse_vandermonde_identity_check", "is_mds_plus",

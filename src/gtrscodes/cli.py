@@ -1,8 +1,9 @@
 """Command-line surface: construct, verify, classify, dual, sweep, reference.
 
 Exit codes: 0 success / verified, 1 verification failure, 2 usage or
-precondition error.  JSON is the canonical output format; sweep catalogs can
-also be written as CSV with a fixed column order.
+precondition error, 3 internal invariant failure.  JSON is the canonical
+output format; sweep catalogs can also be written as CSV with a fixed
+column order.
 """
 
 from __future__ import annotations
@@ -21,10 +22,10 @@ from .field import FieldError, GaloisField, quadratic_extension
 from .gtrs import (GTRSError, GTRSParams, dual_params,
                    generator_matrix, is_mds_plus, plus_dual_euclidean)
 from .linalg import LinalgError
-from .reference import REFERENCE_ROWS, verify_reference_rows
-from .selfdual import (ConstructionError, check_self_dual_criterion,
-                       construct_class1, construct_class2,
-                       sweep_constructions)
+from .reference import verify_reference_rows
+from .selfdual import (ConstructionError, InvariantError,
+                       check_self_dual_criterion, construct_class1,
+                       construct_class2, sweep_constructions)
 
 
 @dataclass
@@ -87,7 +88,8 @@ _FIELD_SHAPE = {"p": _is_int, "m": _is_int,
                 "generator": lambda x: x is None or _is_int(x) or _is_coeffs(x)}
 _DATUM_SHAPE = {"alpha": _list_of(_is_coeffs), "v": _list_of(_is_coeffs),
                 "k": _is_int, "twists": _list_of(_is_twist)}
-_RAW_SHAPE = {"n": _is_int, "generator": _list_of(_list_of(_is_coeffs))}
+_RAW_SHAPE = {"n": _is_int, "k": _is_int,
+              "generator": _list_of(_list_of(_is_coeffs))}
 
 
 def _check_shape(obj: dict, shape: dict, where: str = "") -> None:
@@ -197,7 +199,7 @@ def cmd_classify(args) -> int:
         _emit(_json(report), cfg.out)
         return 0
     if subset_verdict is not None and subset_verdict != (label == "MDS"):
-        raise RuntimeError("subset criterion disagrees with the column ranks")
+        raise InvariantError("subset criterion disagrees with the column ranks")
     report["class"] = label
     if label == "other":
         try:
@@ -285,10 +287,6 @@ def cmd_sweep(args) -> int:
 
 def cmd_reference(args) -> int:
     cfg = RunConfig.from_args(args)
-    shared = min(len(row["eta"]) for row in REFERENCE_ROWS)
-    if args.eta_index is not None and not 0 <= args.eta_index < shared:
-        raise UsageError(f"--eta-index must lie in [0, {shared - 1}]: "
-                         "an index must exist in every bundled row")
     reports = verify_reference_rows(eta_index=args.eta_index)
     for rep in reports:
         status = "PASS" if rep.passed else "FAIL"
@@ -367,10 +365,10 @@ def main(argv=None) -> int:
         return args.func(args)
     except (UsageError, ConstructionError, GTRSError, FieldError, CodeError,
             LinalgError, OSError, json.JSONDecodeError, UnicodeDecodeError,
-            KeyError) as exc:
+            KeyError, InvariantError) as exc:
         sys.stderr.write(_json({"error": type(exc).__name__,
                                 "message": str(exc)}) + "\n")
-        return 2
+        return 3 if isinstance(exc, InvariantError) else 2
 
 
 if __name__ == "__main__":

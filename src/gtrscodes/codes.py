@@ -8,7 +8,7 @@ from itertools import combinations
 from math import comb
 
 from .field import GaloisField
-from .linalg import Matrix, frobenius_image
+from .linalg import Matrix, echelon, frobenius_image
 
 DEFAULT_DISTANCE_CAP = 1 << 24
 
@@ -157,7 +157,7 @@ class LinearCode:
         cols = list(zip(*self.gen.data))
 
         def every(size: int, rank: int) -> bool:
-            return all(_rank(self.field, [cols[i] for i in s]) == rank
+            return all(len(echelon(self.field, [cols[i] for i in s])) == rank
                        for s in combinations(range(n), size))
 
         if every(k, k):
@@ -181,22 +181,8 @@ class LinearCode:
     def from_dict(cls, d: dict, field: GaloisField | None = None) -> "LinearCode":
         f = field or GaloisField.from_dict(d["field"])
         rows = [[f.from_coeffs(c) for c in row] for row in d["generator"]]
+        if d["k"] != len(rows):
+            raise CodeError(f"declared k = {d['k']} but the generator has "
+                            f"{len(rows)} rows")
         return cls(f, Matrix(f, rows, cols=d["n"]))
 
-
-def _rank(field: GaloisField, vecs) -> int:
-    """Rank of a list of vectors over the field, by elimination with scalar
-    field ops; each kept vector is reduced at the earlier pivots and scaled
-    to 1 at its own."""
-    mul, add, neg, inv = field.mul, field.add, field.neg, field.inv
-    basis = []
-    for v in vecs:
-        for p, b in basis:
-            if v[p]:
-                t = neg(v[p])
-                v = [add(x, mul(t, y)) for x, y in zip(v, b)]
-        p = next((i for i, x in enumerate(v) if x), None)
-        if p is not None:
-            s = inv(v[p])
-            basis.append((p, [mul(s, x) for x in v]))
-    return len(basis)

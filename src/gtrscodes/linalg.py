@@ -21,6 +21,9 @@ class Matrix:
                  cols: int | None = None):
         rows = [tuple(r) for r in data]
         if rows:
+            if cols is not None and len(rows[0]) != cols:
+                raise LinalgError(f"rows have length {len(rows[0])}, "
+                                  f"not the declared {cols}")
             cols = len(rows[0])
             if any(len(r) != cols for r in rows):
                 raise LinalgError("ragged rows")
@@ -132,27 +135,15 @@ class Matrix:
         """Reduced row echelon form, rank and pivot columns."""
         if self._rref is None:
             f = self.field
-            mul, add, inv, neg = f.mul, f.add, f.inv, f.neg
-            a = [list(r) for r in self.data]
-            pivots = []
-            r = 0
-            for c in range(self.cols):
-                if r == len(a):
-                    break
-                pr = next((i for i in range(r, len(a)) if a[i][c]), None)
-                if pr is None:
-                    continue
-                a[r], a[pr] = a[pr], a[r]
-                s = inv(a[r][c])
-                a[r] = [mul(s, x) for x in a[r]]
-                prow = a[r]
-                for i in range(len(a)):
-                    if i != r and a[i][c]:
-                        t = neg(a[i][c])
-                        a[i] = [add(x, mul(t, y)) for x, y in zip(a[i], prow)]
-                pivots.append(c)
-                r += 1
-            self._rref = (Matrix(f, a, cols=self.cols), r, tuple(pivots))
+            # the echelon basis by pivot, cleared above each pivot from the last
+            basis = sorted(echelon(f, self.data))
+            for i in range(len(basis) - 2, -1, -1):
+                p, row = basis[i]
+                basis[i] = (p, reduce_row(f, row, basis[i + 1:]))
+            rank = len(basis)
+            rows = [row for _, row in basis] + [[0] * self.cols] * (self.rows - rank)
+            self._rref = (Matrix(f, rows, cols=self.cols), rank,
+                          tuple(p for p, _ in basis))
         return self._rref
 
     def rank(self) -> int:
@@ -176,6 +167,38 @@ class Matrix:
                 vec[pc] = f.neg(red.data[i][fc])
             basis.append(vec)
         return Matrix(f, basis, cols=self.cols)
+
+
+def reduce_row(field: GaloisField, row: Sequence[int],
+               basis: Sequence[tuple[int, Sequence[int]]]) -> Sequence[int]:
+    """Subtract from row, for each (pivot, b) in turn, the multiple of b that
+    clears row[pivot]; each b is 1 at its own pivot.  The one elimination
+    loop of the package."""
+    mul, add, neg = field.mul, field.add, field.neg
+    for p, b in basis:
+        if row[p]:
+            t = neg(row[p])
+            row = [add(x, mul(t, y)) for x, y in zip(row, b)]
+    return row
+
+
+def echelon(field: GaloisField,
+            rows: Sequence[Sequence[int]]) -> list[tuple[int, Sequence[int]]]:
+    """An echelon basis of the row space as (pivot, row) pairs in insertion
+    order: each row is reduced against the pairs so far, dropped if zero,
+    and otherwise scaled to 1 at its first nonzero entry, its pivot.  A row
+    is zero at the pivots of the pairs before it; the rank is the length."""
+    basis = []
+    for row in rows:
+        row = reduce_row(field, row, basis)
+        p = next((i for i, x in enumerate(row) if x), None)
+        if p is None:
+            continue
+        if row[p] != 1:
+            s = field.inv(row[p])
+            row = [field.mul(s, x) for x in row]
+        basis.append((p, row))
+    return basis
 
 
 def frobenius_image(mat: Matrix) -> Matrix:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .codes import LinearCode
 from .field import GaloisField
-from .gtrs import generator_matrix, plus_gtrs
+from .gtrs import GTRSError, generator_matrix, plus_gtrs
 from .selfdual import check_self_dual_criterion
 
 # element tokens: "wE" = w^E, otherwise a subfield integer
@@ -85,7 +85,7 @@ def _row_holds(field: GaloisField, omega: int, row: dict,
             if not check_self_dual_criterion(params):
                 return False
             code = LinearCode(field, generator_matrix(params))
-        except (ValueError, RuntimeError):
+        except ValueError:
             return False
         if code.min_distance() != d:
             return False
@@ -97,7 +97,11 @@ def verify_reference_rows(field: GaloisField | None = None,
     """Verify every bundled row: self-duality plus exact brute-force distance,
     under a searched primitive-element convention.  Rows whose data pin the
     convention (subfield-coded entries) must verify under some w with
-    w^8 = 3."""
+    w^8 = 3.  An eta_index must exist in every row."""
+    shared = min(len(row["eta"]) for row in REFERENCE_ROWS)
+    if eta_index is not None and not 0 <= eta_index < shared:
+        raise GTRSError(f"eta_index must lie in [0, {shared - 1}]: "
+                        "an index must exist in every bundled row")
     field = field or GaloisField(7, 2)
     three = 3  # subfield element fixed by every field automorphism
     candidates = field.primitive_elements()

@@ -24,11 +24,16 @@ from .codes import LinearCode
 from .field import GaloisField
 from .gtrs import (GTRSError, GTRSParams, alpha_sum, generator_matrix,
                    is_mds_plus, plus_gtrs, u_vector)
-from .linalg import Matrix
+from .linalg import Matrix, echelon, reduce_row
 
 
 class ConstructionError(ValueError):
     pass
+
+
+class InvariantError(RuntimeError):
+    """An internal consistency check failed: a fault in the package, not in
+    its input."""
 
 
 # ---------------------------------------------------------------------------
@@ -75,10 +80,10 @@ def check_self_dual_criterion(params: GTRSParams) -> bool:
             field.add(powers[k - 1], field.mul(eta, powers[k]))]
         scale = field.div(field.pow(vi, q + 1), ui)
         rows.append(base + [field.mul(scale, field.pow(x, q)) for x in vals])
-    poly_ok = (Matrix(field, rows, cols=2 * k).rank()
-               == Matrix(field, [r[:k] for r in rows], cols=k).rank())
+    poly_ok = (len(echelon(field, rows))
+               == len(echelon(field, [r[:k] for r in rows])))
     if gram_ok != poly_ok:
-        raise RuntimeError(
+        raise InvariantError(
             "internal invariant violated: Gram and polynomial self-duality "
             "checks disagree")
     return gram_ok
@@ -94,7 +99,7 @@ def zeta_roots(field: GaloisField) -> list[int]:
     roots = sorted(field.sub(y, 1) for y in field.power_roots(q + 1, 1)
                    if y != 1)
     if len(roots) != q or 0 in roots:
-        raise RuntimeError(
+        raise InvariantError(
             f"expected {q} distinct nonzero roots, found {len(roots)}")
     return roots
 
@@ -202,7 +207,7 @@ def _verified(res: ConstructionResult) -> ConstructionResult:
     """Run both self-duality routes on every listed eta of a built result."""
     for eta, _ in res.eta_list:
         if not check_self_dual_criterion(res.params(eta)):
-            raise RuntimeError("constructed code failed the self-duality criterion")
+            raise InvariantError("constructed code failed the self-duality criterion")
     return res
 
 
@@ -230,7 +235,7 @@ def _build_class1(field: GaloisField, a_l: int, x_subset) -> ConstructionResult:
     u = u_vector(field, alpha)
     for ui in u:
         if not field.in_subfield(ui):
-            raise RuntimeError("expected multiplier data in the subfield")
+            raise InvariantError("expected multiplier data in the subfield")
     v = [field.solve_norm(ui) for ui in u]
 
     if a == 0:
@@ -267,7 +272,7 @@ def _build_class2(field: GaloisField, a_l: int, m: int, x_subset) -> Constructio
     scaled = [field.mul(lam, ui) for ui in u]
     for si in scaled:
         if si == 0 or not field.in_subfield(si):
-            raise RuntimeError("expected scaled multiplier data in the subfield")
+            raise InvariantError("expected scaled multiplier data in the subfield")
     v = [field.solve_norm(si) for si in scaled]
 
     beta_q1 = field.pow(beta, q - 1)
@@ -300,7 +305,7 @@ def _row_space_keys(res: ConstructionResult) -> tuple:
     reduced once, and each eta costs one normalised row r0' + eta*r1' plus
     clearing its pivot column from the shared rows (RREF is unique)."""
     f, k = res.field, res.k
-    mul, add, neg = f.mul, f.add, f.neg
+    mul, add = f.mul, f.add
     rows = [list(res.v)]
     for _ in range(k):
         rows.append([mul(x, a) for x, a in zip(rows[-1], res.alpha)])
@@ -309,16 +314,8 @@ def _row_space_keys(res: ConstructionResult) -> tuple:
         "degenerate twist configuration: generator rank below k")
     if rank != k - 1:
         raise degenerate
-    base = red.data[:rank]
-
-    def reduce(row, red_rows, cols):
-        for b, c in zip(red_rows, cols):
-            if row[c]:
-                t = neg(row[c])
-                row = [add(x, mul(t, y)) for x, y in zip(row, b)]
-        return row
-
-    r0, r1 = reduce(rows[k - 1], base, pivots), reduce(rows[k], base, pivots)
+    base = list(zip(pivots, red.data[:rank]))
+    r0, r1 = reduce_row(f, rows[k - 1], base), reduce_row(f, rows[k], base)
     keys = []
     for eta, _ in res.eta_list:
         w = [add(x, mul(eta, y)) for x, y in zip(r0, r1)]
@@ -327,7 +324,7 @@ def _row_space_keys(res: ConstructionResult) -> tuple:
             raise degenerate
         s = f.inv(w[c])
         w = tuple(mul(s, x) for x in w)
-        out = [tuple(reduce(b, (w,), (c,))) for b in base]
+        out = [tuple(reduce_row(f, b, ((c, w),))) for _, b in base]
         out.insert(bisect(pivots, c), w)
         keys.append(tuple(out))
     return tuple(sorted(keys))

@@ -30,6 +30,33 @@ def exhaustive_class(code, cap: int = DEFAULT_DISTANCE_CAP) -> str:
     return "other"
 
 
+def reference_rref(field, rows, cols):
+    """RREF by column Gauss-Jordan with row swaps, rank and pivot columns:
+    an elimination independent of `linalg.echelon`, the oracle for
+    `Matrix.rref` and the sweep's row-space key."""
+    mul, add, inv, neg = field.mul, field.add, field.inv, field.neg
+    a = [list(r) for r in rows]
+    pivots = []
+    r = 0
+    for c in range(cols):
+        if r == len(a):
+            break
+        pr = next((i for i in range(r, len(a)) if a[i][c]), None)
+        if pr is None:
+            continue
+        a[r], a[pr] = a[pr], a[r]
+        s = inv(a[r][c])
+        a[r] = [mul(s, x) for x in a[r]]
+        prow = a[r]
+        for i in range(len(a)):
+            if i != r and a[i][c]:
+                t = neg(a[i][c])
+                a[i] = [add(x, mul(t, y)) for x, y in zip(a[i], prow)]
+        pivots.append(c)
+        r += 1
+    return tuple(map(tuple, a)), r, tuple(pivots)
+
+
 @pytest.fixture(scope="session")
 def gf7():
     return GaloisField(7)

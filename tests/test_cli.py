@@ -313,12 +313,27 @@ def test_malformed_inputs_exit_2(capsys, tmp_path, gf7, gf49):
     for name, doc in (("list", [1, 2]), ("rank", rank_deficient),
                       ("ragged", ragged), ("field", {"field": [1]}),
                       ("int_generator", dict(good, generator=[[1, 2]])),
-                      ("int_alpha", dict(datum, alpha=5))):
+                      ("int_alpha", dict(datum, alpha=5)),
+                      ("short_rows", dict(good, n=3, k=1,
+                                          generator=[[[1], [2]]])),
+                      ("wrong_k", dict(good, k=3)),
+                      ("str_k", dict(good, k="2"))):
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(doc))
         rc, out, err = run(capsys, "classify", str(path))
         assert rc == 2 and out == ""
         assert "error" in json.loads(err)
+
+
+def test_invariant_failure_exits_3(capsys, tmp_path, gf49, monkeypatch):
+    import gtrscodes.cli as cli
+    res = construct_class1(gf49, 1, gf49.subfield_elements()[:6])
+    path = write_params(tmp_path, res.params(res.eta_list[0][0]))
+    monkeypatch.setattr(cli, "is_mds_plus",
+                        lambda *args: not is_mds_plus(*args))
+    rc, out, err = run(capsys, "classify", path)
+    assert rc == 3 and out == ""
+    assert json.loads(err)["error"] == "InvariantError"
 
 
 def test_bad_arguments_exit_2(capsys, tmp_path):

@@ -6,6 +6,8 @@ import pytest
 from gtrscodes import (
     CodeError,
     DistanceCapExceeded,
+    GTRSError,
+    InvariantError,
     LinearCode,
     Matrix,
     code,
@@ -254,3 +256,21 @@ def test_reference_rows_all_pass():
     reports = verify_reference_rows()
     assert len(reports) == 6
     assert all(r.passed for r in reports)
+
+
+def test_reference_eta_index_bounds():
+    # rows 3 and 6 list one eta, so 0 is the only index every row has
+    for index in (1, -1):
+        with pytest.raises(GTRSError, match="eta_index"):
+            verify_reference_rows(eta_index=index)
+
+
+def test_reference_invariant_failure_is_not_a_failed_row(monkeypatch):
+    import gtrscodes.reference as reference
+
+    def broken(params):
+        raise InvariantError("routes disagree")
+
+    monkeypatch.setattr(reference, "check_self_dual_criterion", broken)
+    with pytest.raises(InvariantError):
+        verify_reference_rows()

@@ -46,3 +46,44 @@ def test_no_unused_imports_in_package():
     assert modules
     found = {p.name: unused_imports(p.read_text()) for p in modules}
     assert {name: names for name, names in found.items() if names} == {}
+
+
+def unused_private_functions(sources: dict[str, str]) -> list[str]:
+    """Module-level functions with a single leading underscore that no
+    module among `sources` (name -> source) refers to by name or as an
+    attribute."""
+    defined = []
+    used = set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        defined += [(node.name, module, node.lineno) for node in tree.body
+                    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and node.name.startswith("_")
+                    and not node.name.startswith("__")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    return sorted(f"{name} ({module} line {line})"
+                  for name, module, line in defined if name not in used)
+
+
+def test_unused_private_function_is_detected():
+    sources = {
+        "a.py": ("def _called():\n    return 1\n"
+                 "def _dead():\n    return 2\n"
+                 "def __dunder__():\n    return 3\n"
+                 "class C:\n    def _method(self):\n        return 4\n"
+                 "def f():\n    return _called()\n"),
+        "b.py": "import a\ndef _via_attribute():\n    return a._rank\n"
+                "def _rank(v):\n    return len(v)\n"
+                "x = a._via_attribute\n",
+    }
+    assert unused_private_functions(sources) == ["_dead (a.py line 3)"]
+
+
+def test_no_unused_private_functions_in_package():
+    sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    assert sources
+    assert unused_private_functions(sources) == []

@@ -4,14 +4,16 @@ import pytest
 
 from gtrscodes import (
     FieldError,
+    GaloisField,
     LinalgError,
     Matrix,
     frobenius_image,
     inverse_vandermonde_identity_check,
     is_multiplicative_subgroup,
 )
+from gtrscodes.linalg import echelon
 
-from conftest import field_q2
+from conftest import field_q2, reference_rref
 
 
 def naive_mul(f, a, b):
@@ -141,3 +143,46 @@ def test_entries_checked_once_per_matrix(gf7):
             Matrix(gf7, bad)
     assert Matrix(gf7, [[], []]).cols == 0
     assert Matrix(gf7, [[0, 6]]).data == ((0, 6),)
+
+
+def _shapes(f, rng):
+    """Seeded matrices over f: 0 x n, m x 0, tall, wide, square, a zero row
+    and repeated or scaled rows, with sparse entries so ranks drop."""
+    def rand(m, n):
+        return [[rng.randrange(f.order) if rng.random() < 0.6 else 0
+                 for _ in range(n)] for _ in range(m)]
+
+    yield [], 5
+    yield [[], [], []], 0
+    for _ in range(40):
+        m, n = rng.randint(1, 7), rng.randint(1, 7)
+        yield rand(m, n), n
+    yield rand(8, 3), 3
+    yield rand(2, 9), 9
+    for _ in range(10):
+        a = rand(4, 6)
+        a.insert(rng.randrange(5), [0] * 6)
+        a.append(list(a[0]))
+        c = rng.randrange(1, f.order)
+        a.append([f.mul(c, x) for x in a[1]])
+        rng.shuffle(a)
+        yield a, 6
+
+
+@pytest.mark.parametrize("field", [GaloisField(7), field_q2(3), field_q2(4),
+                                   field_q2(7)],
+                         ids=["GF7", "GF9", "GF16", "GF49"])
+def test_rref_and_echelon_match_reference(field):
+    rng = random.Random(field.order)
+    for rows, cols in _shapes(field, rng):
+        red, rank, pivots = Matrix(field, rows, cols=cols).rref()
+        ref_rows, ref_rank, ref_pivots = reference_rref(field, rows, cols)
+        assert (red.data, rank, pivots) == (ref_rows, ref_rank, ref_pivots)
+        assert red.rows == len(rows) and red.cols == cols
+        assert len(echelon(field, rows)) == ref_rank
+
+
+def test_declared_cols_must_match_rows(gf7):
+    with pytest.raises(LinalgError, match="declared"):
+        Matrix(gf7, [[1, 2]], cols=3)
+    assert Matrix(gf7, [[1, 2]], cols=2).cols == 2

@@ -6,6 +6,7 @@ from gtrscodes import (
     ConstructionError,
     ConstructionResult,
     GTRSError,
+    InvariantError,
     check_self_dual_criterion,
     classify_eta,
     code,
@@ -20,7 +21,7 @@ from gtrscodes import (
 from gtrscodes.selfdual import (_build_class1, _build_class2,
                                 _row_space_keys, canonical_x_subsets)
 
-from conftest import exhaustive_class, field_q2, sweep_cache
+from conftest import exhaustive_class, field_q2, reference_rref, sweep_cache
 
 
 def test_criterion_on_bundled_instance(gf49):
@@ -226,7 +227,7 @@ def test_sweep_verifies_each_kept_code_once(gf49, monkeypatch):
     # a failed check on a kept code still stops the sweep
     monkeypatch.setattr(selfdual, "check_self_dual_criterion",
                         lambda params: False)
-    with pytest.raises(RuntimeError):
+    with pytest.raises(InvariantError):
         sweep_constructions(gf49)
 
 
@@ -250,9 +251,14 @@ def test_row_space_keys_match_generator_rref(q):
     # q = 4 and q = 8 take the characteristic-2 (XOR) addition path
     built = 0
     for res in built_constructions(field_q2(q)):
-        oracle = tuple(sorted(generator_matrix(res.params(eta)).row_space_key()
-                              for eta, _ in res.eta_list))
+        gens = [generator_matrix(res.params(eta)) for eta, _ in res.eta_list]
+        oracle = []
+        for g in gens:
+            red, rank, _ = reference_rref(g.field, g.data, g.cols)
+            oracle.append(red[:rank])
+        oracle = tuple(sorted(oracle))
         assert _row_space_keys(res) == oracle
+        assert tuple(sorted(g.row_space_key() for g in gens)) == oracle
         built += 1
     assert built > 0
 
