@@ -2,7 +2,8 @@
 duality, and Hermitian self-dual MDS/NMDS families."""
 
 from .codes import DEFAULT_DISTANCE_CAP, CodeError, DistanceCapExceeded, LinearCode
-from .field import FieldError, GaloisField, poly_eval, quadratic_extension
+from .field import (FieldError, GaloisField, InvariantError, poly_eval,
+                    quadratic_extension)
 from .gtrs import (GTRSError, GTRSParams, TwistSpec, alpha_sum, code,
                    dual_params, dual_parity_matrix, encode, expand_twisted,
                    generator_matrix, is_mds_plus, l_matrix,
@@ -11,7 +12,7 @@ from .gtrs import (GTRSError, GTRSParams, TwistSpec, alpha_sum, code,
 from .linalg import (LinalgError, Matrix, frobenius_image,
                      inverse_vandermonde_identity_check,
                      is_multiplicative_subgroup)
-from .selfdual import (ConstructionError, ConstructionResult, InvariantError,
+from .selfdual import (ConstructionError, ConstructionResult,
                        check_self_dual_criterion, classify_eta,
                        construct_class1, construct_class2,
                        sweep_constructions, zeta_roots)

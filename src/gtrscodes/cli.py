@@ -12,39 +12,17 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
-from dataclasses import dataclass
 
 from .codes import (DEFAULT_DISTANCE_CAP, CodeError, DistanceCapExceeded,
                     LinearCode)
-from .field import FieldError, GaloisField, quadratic_extension
+from .field import FieldError, GaloisField, InvariantError, quadratic_extension
 from .gtrs import (GTRSError, GTRSParams, dual_params,
                    generator_matrix, is_mds_plus, plus_dual_euclidean)
 from .linalg import LinalgError
 from .reference import verify_reference_rows
-from .selfdual import (ConstructionError, InvariantError,
-                       check_self_dual_criterion, construct_class1,
-                       construct_class2, sweep_constructions)
-
-
-@dataclass
-class RunConfig:
-    distance_cap: int = DEFAULT_DISTANCE_CAP
-    fmt: str = "json"
-    out: str | None = None
-
-    @classmethod
-    def from_args(cls, args) -> "RunConfig":
-        cap = getattr(args, "cap", None)
-        if cap is None:
-            cap = int(os.environ.get("GTRS_DISTANCE_CAP", DEFAULT_DISTANCE_CAP))
-        fmt = getattr(args, "format", "json")
-        if cap <= 0:
-            raise UsageError("caps must be positive")
-        if fmt not in ("json", "csv"):
-            raise UsageError("format must be json or csv")
-        return cls(distance_cap=cap, fmt=fmt, out=getattr(args, "out", None))
+from .selfdual import (ConstructionError, check_self_dual_criterion,
+                       construct_class1, construct_class2, sweep_constructions)
 
 
 class UsageError(ValueError):
@@ -130,7 +108,6 @@ def _parse_elements(field: GaloisField, text: str) -> list[int]:
 # ---------------------------------------------------------------------------
 
 def cmd_construct(args) -> int:
-    cfg = RunConfig.from_args(args)
     field = quadratic_extension(args.q)
     a_l = field.check(args.al)
     if args.x is not None:
@@ -145,12 +122,11 @@ def cmd_construct(args) -> int:
         if args.m is None:
             raise UsageError("class II requires --m")
         result = construct_class2(field, a_l, args.m, x)
-    _emit(_json(result.to_dict()), cfg.out)
+    _emit(_json(result.to_dict()), args.out)
     return 0
 
 
 def cmd_verify(args) -> int:
-    cfg = RunConfig.from_args(args)
     field, params, code = _load_input(args.file)
     report = {
         "n": code.n,
@@ -160,27 +136,29 @@ def cmd_verify(args) -> int:
         "thm4_polynomial_check": None,
         "reason": None,
     }
-    gram = (code.n == 2 * code.k
-            and code.gen.mul(code.gen.conj_transpose()).is_zero())
-    report["gram_zero"] = gram
-    report["hermitian_self_dual"] = gram
+    gram = None
     if params is not None and params.twist.is_plus():
         try:
-            verdict = check_self_dual_criterion(params)
-            report["thm4_polynomial_check"] = verdict
+            # its Gram route answers gram_zero; it raises unless the
+            # polynomial route agrees
+            gram = check_self_dual_criterion(params)
+            report["thm4_polynomial_check"] = gram
         except (GTRSError, ValueError) as exc:
             report["thm4_polynomial_check"] = False
             report["reason"] = str(exc)
-            if code.n % 2:
-                report["reason"] = "n odd"
-    elif code.n % 2:
+    if code.n % 2:
         report["reason"] = "n odd"
-    _emit(_json(report), cfg.out)
+    if gram is None:
+        gram = code.n == 2 * code.k and code.is_hermitian_self_dual()
+    report["gram_zero"] = gram
+    report["hermitian_self_dual"] = gram
+    _emit(_json(report), args.out)
     return 0 if report["hermitian_self_dual"] else 1
 
 
 def cmd_classify(args) -> int:
-    cfg = RunConfig.from_args(args)
+    if args.cap <= 0:
+        raise UsageError("caps must be positive")
     field, params, code = _load_input(args.file)
     report: dict = {"n": code.n, "k": code.k}
     subset_verdict = None
@@ -189,40 +167,39 @@ def cmd_classify(args) -> int:
                                      params.k)
         report["subset_criterion_mds"] = subset_verdict
     try:
-        label = code.classify(cfg.distance_cap)
+        label = code.classify(args.cap)
     except DistanceCapExceeded as exc:
         report["d"] = None
         report["class"] = None
         report["note"] = f"distance cap exceeded ({exc}); subset verdict only"
         if subset_verdict is None:
             raise UsageError(str(exc))
-        _emit(_json(report), cfg.out)
+        _emit(_json(report), args.out)
         return 0
     if subset_verdict is not None and subset_verdict != (label == "MDS"):
         raise InvariantError("subset criterion disagrees with the column ranks")
     report["class"] = label
     if label == "other":
         try:
-            report["d"] = code.min_distance(cfg.distance_cap)
+            report["d"] = code.min_distance(args.cap)
         except DistanceCapExceeded as exc:
             report["d"] = None
             report["note"] = f"distance cap exceeded ({exc}); class only"
     else:
         report["d"] = code.n - code.k + (label == "MDS")
-    _emit(_json(report), cfg.out)
+    _emit(_json(report), args.out)
     return 0
 
 
 def cmd_dual(args) -> int:
-    cfg = RunConfig.from_args(args)
     field, params, code = _load_input(args.file)
     mode = {"thm2": "group-closed-form", "lemma3": "plus-closed-form"}.get(
         args.mode, args.mode)
     if mode == "euclidean":
-        _emit(_json(code.dual_euclidean().to_dict()), cfg.out)
+        _emit(_json(code.dual_euclidean().to_dict()), args.out)
         return 0
     if mode == "hermitian":
-        _emit(_json(code.dual_hermitian().to_dict()), cfg.out)
+        _emit(_json(code.dual_hermitian().to_dict()), args.out)
         return 0
     if params is None:
         raise UsageError("closed-form duals need a twisted-code datum")
@@ -236,7 +213,7 @@ def cmd_dual(args) -> int:
     agrees = dual_code.equals(code.dual_euclidean())
     payload = dual.to_dict()
     payload["agrees_with_kernel_dual"] = agrees
-    _emit(_json(payload), cfg.out)
+    _emit(_json(payload), args.out)
     return 0 if agrees else 1
 
 
@@ -245,7 +222,6 @@ SWEEP_COLUMNS = ("q", "n", "class", "a_l", "m", "subset", "eta",
 
 
 def cmd_sweep(args) -> int:
-    cfg = RunConfig.from_args(args)
     classes = ("I", "II") if args.cls == "both" else (args.cls,)
     rows = []
     notes = []
@@ -273,7 +249,7 @@ def cmd_sweep(args) -> int:
                 })
     rows.sort(key=lambda r: (r["q"], r["n"], r["class"], r["a_l"],
                              str(r["m"]), r["subset"], r["eta"]))
-    if cfg.fmt == "csv":
+    if args.format == "csv":
         buf = io.StringIO()
         writer = csv.DictWriter(buf, fieldnames=SWEEP_COLUMNS, lineterminator="\n")
         writer.writeheader()
@@ -281,12 +257,11 @@ def cmd_sweep(args) -> int:
         payload = buf.getvalue()
     else:
         payload = _json({"rows": rows, "notes": notes})
-    _emit(payload, cfg.out)
+    _emit(payload, args.out)
     return 0
 
 
 def cmd_reference(args) -> int:
-    cfg = RunConfig.from_args(args)
     reports = verify_reference_rows(eta_index=args.eta_index)
     for rep in reports:
         status = "PASS" if rep.passed else "FAIL"
@@ -327,9 +302,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     cla = sub.add_parser("classify", help="exact [n,k,d] and MDS/NMDS class")
     cla.add_argument("file")
-    cla.add_argument("--cap", type=int,
+    cla.add_argument("--cap", type=int, default=DEFAULT_DISTANCE_CAP,
                      help="bound on codewords enumerated or column subsets "
-                          "ranked (default: GTRS_DISTANCE_CAP or 2^24)")
+                          "ranked (default: 2^24)")
     cla.add_argument("--out")
     cla.set_defaults(func=cmd_classify)
 

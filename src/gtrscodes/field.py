@@ -22,6 +22,11 @@ class FieldError(ValueError):
     """Invalid field construction or an operation outside the field's domain."""
 
 
+class InvariantError(RuntimeError):
+    """An internal consistency check failed: a fault in the package, not in
+    its input."""
+
+
 def is_prime(n: int) -> bool:
     if n < 2:
         return False
@@ -371,7 +376,8 @@ class GaloisField:
         q = self._require_square()
         if self._subfield is None:
             out = [0] + [self.exp[s * (q + 1)] for s in range(q - 1)]
-            assert len(out) == q
+            if len(set(out)) != q:
+                raise InvariantError(f"expected {q} distinct subfield elements")
             self._subfield = tuple(out)
         return self._subfield
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .codes import LinearCode
-from .field import GaloisField, poly_eval
+from .field import GaloisField, InvariantError, poly_eval
 from .linalg import Matrix, is_multiplicative_subgroup
 
 SUBSET_SCAN_MAX_N = 28
@@ -223,7 +223,8 @@ def dual_parity_matrix(params: GTRSParams) -> Matrix:
     d = Matrix.diagonal(field, [field.mul(a, inv_n) for a in params.alpha])
     vinv = Matrix.diagonal(field, [field.inv(x) for x in params.v])
     h = left.mul(Matrix.vandermonde(field, params.alpha, n)).mul(d).mul(vinv)
-    assert h.rank() == n - k
+    if h.rank() != n - k:
+        raise InvariantError("closed-form parity matrix is rank deficient")
     return h
 
 

@@ -19,9 +19,10 @@ from __future__ import annotations
 
 from bisect import bisect
 from dataclasses import dataclass
+from itertools import product
 
 from .codes import LinearCode
-from .field import GaloisField
+from .field import GaloisField, InvariantError
 from .gtrs import (GTRSError, GTRSParams, alpha_sum, generator_matrix,
                    is_mds_plus, plus_gtrs, u_vector)
 from .linalg import Matrix, echelon, reduce_row
@@ -29,11 +30,6 @@ from .linalg import Matrix, echelon, reduce_row
 
 class ConstructionError(ValueError):
     pass
-
-
-class InvariantError(RuntimeError):
-    """An internal consistency check failed: a fault in the package, not in
-    its input."""
 
 
 # ---------------------------------------------------------------------------
@@ -63,8 +59,7 @@ def check_self_dual_criterion(params: GTRSParams) -> bool:
     if denom == 0:
         raise GTRSError("excluded eta: 1 + a*eta = 0")
 
-    gen = generator_matrix(params)
-    gram_ok = gen.mul(gen.conj_transpose()).is_zero()
+    gram_ok = LinearCode(field, generator_matrix(params)).is_hermitian_self_dual()
 
     # polynomial route: every target column lies in the column space of the
     # dual-shape basis B, i.e. rank [B | targets] = rank B
@@ -174,7 +169,33 @@ class ConstructionResult:
         }
 
 
-def _validate_inputs(field: GaloisField, a_l: int, x_subset) -> tuple[int, int, int]:
+def _verified(res: ConstructionResult) -> ConstructionResult:
+    """Run both self-duality routes on every listed eta of a built result."""
+    for eta, _ in res.eta_list:
+        if not check_self_dual_criterion(res.params(eta)):
+            raise InvariantError("constructed code failed the self-duality criterion")
+    return res
+
+
+def construct_class1(field: GaloisField, a_l: int, x_subset) -> ConstructionResult:
+    """Locators a_l * w + x_i with x_i distinct subfield elements, n = 2k <= q.
+    Fails when the locator sum is zero in characteristic 2."""
+    return _verified(_build(field, a_l, None, x_subset))
+
+
+def construct_class2(field: GaloisField, a_l: int, m: int, x_subset) -> ConstructionResult:
+    """Locators a_l + w^m * x_i, 1 <= m <= q, with x_i distinct subfield
+    elements, n = 2k <= q."""
+    return _verified(_build(field, a_l, m, x_subset))
+
+
+def _build(field: GaloisField, a_l: int, m: int | None, x_subset) -> ConstructionResult:
+    """Locators c + beta * x_i on the coset c + beta * GF(q): class I when m
+    is None (c = a_l * w, beta = 1), class II otherwise (c = a_l, beta = w^m).
+    Multipliers solve N(v_i) = beta^(n-1) u_i. With B = k*c + k*c^q /
+    beta^(q-1) + beta * sum(x), the eta candidates are the zeta roots over B
+    when a and B are nonzero, none for class I in characteristic 2 when only
+    B is zero, and the roots of eta^(q-1) = -beta^-(q-1) otherwise."""
     q = field._require_square()
     field.check(a_l)
     if not field.in_subfield(a_l):
@@ -189,107 +210,46 @@ def _validate_inputs(field: GaloisField, a_l: int, x_subset) -> tuple[int, int, 
         raise ConstructionError("length must be even and >= 2")
     if n > q:
         raise ConstructionError(f"length {n} exceeds coset size q = {q}")
-    return q, n, n // 2
+    w = field.generator
+    if m is None:
+        c, beta = field.mul(a_l, w), 1
+    elif 1 <= m <= q:
+        c, beta = a_l, field.pow(w, m)
+    else:
+        raise ConstructionError(f"m must lie in [1, {q}]")
+    alpha = [field.add(c, field.mul(beta, xi)) for xi in x]
+    a = alpha_sum(field, alpha)
+    if a == 0 and field.p == 2:
+        raise ConstructionError(
+            "locator sum zero in characteristic 2 is excluded")
+    lam = field.pow(beta, n - 1)
+    scaled = [field.mul(lam, ui) for ui in u_vector(field, alpha)]
+    if not all(field.in_subfield(si) for si in scaled):
+        raise InvariantError("expected multiplier data in the subfield")
+    v = [field.solve_norm(si) for si in scaled]
 
-
-def _finish(field: GaloisField, construction: str, a_l: int, m, x, alpha, v,
-            a: int, candidates: list[int]) -> ConstructionResult:
+    beta_q1 = field.pow(beta, q - 1)
+    big_b = 0
+    if a != 0:
+        k = field.scalar(n // 2)
+        big_b = field.add(
+            field.add(field.mul(k, c),
+                      field.div(field.mul(k, field.frobenius(c)), beta_q1)),
+            field.mul(beta, alpha_sum(field, x)))
+    if big_b != 0:
+        inv_b = field.inv(big_b)
+        candidates = [field.mul(z, inv_b) for z in zeta_roots(field)]
+    elif a != 0 and m is None and field.p == 2:
+        candidates = []
+    else:
+        candidates = field.power_roots(q - 1, field.neg(field.inv(beta_q1)))
     kept = [eta for eta in candidates if field.add(1, field.mul(a, eta)) != 0]
     if not kept:
         raise ConstructionError("no admissible eta candidates for this input")
     eta_list = tuple((eta, classify_eta(field, alpha, eta)) for eta in kept)
-    return ConstructionResult(construction, field, a_l, m, tuple(x),
-                              tuple(alpha), tuple(v), a, eta_list,
+    return ConstructionResult("I" if m is None else "II", field, a_l, m,
+                              tuple(x), tuple(alpha), tuple(v), a, eta_list,
                               len(candidates) - len(kept))
-
-
-def _verified(res: ConstructionResult) -> ConstructionResult:
-    """Run both self-duality routes on every listed eta of a built result."""
-    for eta, _ in res.eta_list:
-        if not check_self_dual_criterion(res.params(eta)):
-            raise InvariantError("constructed code failed the self-duality criterion")
-    return res
-
-
-def construct_class1(field: GaloisField, a_l: int, x_subset) -> ConstructionResult:
-    """Locators a_l * w + x_i with x_i distinct subfield elements, n = 2k <= q.
-    Fails when the locator sum is zero in characteristic 2."""
-    return _verified(_build_class1(field, a_l, x_subset))
-
-
-def construct_class2(field: GaloisField, a_l: int, m: int, x_subset) -> ConstructionResult:
-    """Locators a_l + w^m * x_i, 1 <= m <= q, with x_i distinct subfield
-    elements, n = 2k <= q."""
-    return _verified(_build_class2(field, a_l, m, x_subset))
-
-
-def _build_class1(field: GaloisField, a_l: int, x_subset) -> ConstructionResult:
-    q, n, k = _validate_inputs(field, a_l, x_subset)
-    x = list(x_subset)
-    w = field.generator
-    alpha = [field.add(field.mul(a_l, w), xi) for xi in x]
-    a = alpha_sum(field, alpha)
-    if a == 0 and field.p == 2:
-        raise ConstructionError(
-            "locator sum zero in characteristic 2 is excluded")
-    u = u_vector(field, alpha)
-    for ui in u:
-        if not field.in_subfield(ui):
-            raise InvariantError("expected multiplier data in the subfield")
-    v = [field.solve_norm(ui) for ui in u]
-
-    if a == 0:
-        candidates = field.power_roots(q - 1, field.neg(1))
-    else:
-        sum_x = alpha_sum(field, x)
-        k_scalar = field.scalar(k)
-        big_a = field.add(field.mul(field.mul(k_scalar, field.trace(w)), a_l), sum_x)
-        if big_a != 0:
-            inv_a = field.inv(big_a)
-            candidates = [field.mul(z, inv_a) for z in zeta_roots(field)]
-        elif field.p != 2:
-            candidates = field.power_roots(q - 1, field.neg(1))
-        else:
-            candidates = []
-    return _finish(field, "I", a_l, None, x, alpha, v, a, candidates)
-
-
-def _build_class2(field: GaloisField, a_l: int, m: int, x_subset) -> ConstructionResult:
-    q, n, k = _validate_inputs(field, a_l, x_subset)
-    if not (1 <= m <= q):
-        raise ConstructionError(f"m must lie in [1, {q}]")
-    x = list(x_subset)
-    beta = field.pow(field.generator, m)
-    alpha = [field.add(a_l, field.mul(beta, xi)) for xi in x]
-    if len(set(alpha)) != len(alpha):
-        raise ConstructionError("degenerate coset: repeated locators")
-    a = alpha_sum(field, alpha)
-    if a == 0 and field.p == 2:
-        raise ConstructionError(
-            "locator sum zero in characteristic 2 is excluded")
-    u = u_vector(field, alpha)
-    lam = field.pow(beta, n - 1)
-    scaled = [field.mul(lam, ui) for ui in u]
-    for si in scaled:
-        if si == 0 or not field.in_subfield(si):
-            raise InvariantError("expected scaled multiplier data in the subfield")
-    v = [field.solve_norm(si) for si in scaled]
-
-    beta_q1 = field.pow(beta, q - 1)
-    rhs = field.neg(field.inv(beta_q1))   # eta^(q-1) = -beta^-(q-1)
-    if a == 0:
-        candidates = field.power_roots(q - 1, rhs)
-    else:
-        k_scalar = field.scalar(k)
-        num = field.add(field.mul(field.mul(k_scalar, field.sub(1, beta_q1)), a_l),
-                        field.mul(a, beta_q1))
-        big_b = field.div(num, beta_q1)
-        if big_b != 0:
-            inv_b = field.inv(big_b)
-            candidates = [field.mul(z, inv_b) for z in zeta_roots(field)]
-        else:
-            candidates = field.power_roots(q - 1, rhs)
-    return _finish(field, "II", a_l, m, x, alpha, v, a, candidates)
 
 
 # ---------------------------------------------------------------------------
@@ -353,6 +313,7 @@ def sweep_constructions(field: GaloisField, n_values=None,
     if n_values is None:
         n_values = [n for n in range(2, min(q, 8) + 1, 2)]
     sub = field.subfield_elements()
+    exponents = {"I": [None], "II": range(1, q + 1)}
     results = []
     seen = set()
     for n in sorted(n_values):
@@ -360,16 +321,11 @@ def sweep_constructions(field: GaloisField, n_values=None,
             raise ConstructionError(f"invalid sweep length {n}")
         for x in canonical_x_subsets(field, n):
             for cls_name in classes:
-                if cls_name == "I":
-                    configs = [(a_l, None) for a_l in sub]
-                elif cls_name == "II":
-                    configs = [(a_l, m) for a_l in sub for m in range(1, q + 1)]
-                else:
+                if cls_name not in exponents:
                     raise ConstructionError(f"unknown class {cls_name!r}")
-                for a_l, m in configs:
+                for a_l, m in product(sub, exponents[cls_name]):
                     try:
-                        res = (_build_class1(field, a_l, x) if m is None
-                               else _build_class2(field, a_l, m, x))
+                        res = _build(field, a_l, m, x)
                     except ConstructionError:
                         continue
                     key = _row_space_keys(res)

@@ -4,7 +4,7 @@ import json
 import pytest
 
 from gtrscodes import (LinearCode, Matrix, alpha_sum, construct_class1,
-                       is_mds_plus, plus_gtrs)
+                       is_mds_plus, plus_gtrs, quadratic_extension)
 from gtrscodes.cli import main
 
 from conftest import field_q2
@@ -78,6 +78,23 @@ def test_verify_self_dual_and_perturbed(capsys, tmp_path, gf49):
     assert not json.loads(out)["hermitian_self_dual"]
 
 
+def test_verify_takes_one_gram_product(capsys, tmp_path, gf49, monkeypatch):
+    res = construct_class1(gf49, 0, gf49.subfield_elements()[1:])
+    path = write_params(tmp_path, res.params(res.eta_list[0][0]))
+    calls = []
+    real = Matrix.conj_transpose
+
+    def counted(self):
+        calls.append(self.rows)
+        return real(self)
+
+    monkeypatch.setattr(Matrix, "conj_transpose", counted)
+    rc, out, _ = run(capsys, "verify", path)
+    assert rc == 0 and calls == [3]
+    doc = json.loads(out)
+    assert doc["gram_zero"] and doc["thm4_polynomial_check"] is True
+
+
 def test_verify_odd_length(capsys, tmp_path, gf49):
     code = LinearCode(gf49, Matrix(gf49, [[1, 2, 3]]))
     path = write_code(tmp_path, code)
@@ -110,7 +127,7 @@ def test_classify_plus_datum(capsys, tmp_path, gf49):
         assert doc["d"] == (4 if label == "MDS" else 3)
 
 
-def test_classify_cap_exceeded(capsys, tmp_path, gf49, monkeypatch):
+def test_classify_cap_exceeded(capsys, tmp_path, gf49):
     res = construct_class1(gf49, 0, gf49.subfield_elements()[1:])
     path = write_params(tmp_path, res.params(res.eta_list[0][0]))
     rc, out, _ = run(capsys, "classify", "--cap", "10", path)
@@ -118,10 +135,15 @@ def test_classify_cap_exceeded(capsys, tmp_path, gf49, monkeypatch):
     doc = json.loads(out)
     assert doc["d"] is None and "note" in doc
     assert doc["subset_criterion_mds"] is True
-    # env var supplies the default cap
-    monkeypatch.setenv("GTRS_DISTANCE_CAP", "10")
-    rc, out, _ = run(capsys, "classify", path)
-    assert json.loads(out)["d"] is None
+
+
+def test_distance_cap_env_var_is_ignored(capsys, monkeypatch):
+    # no command reads GTRS_DISTANCE_CAP, so a non-integer value is harmless
+    monkeypatch.setenv("GTRS_DISTANCE_CAP", "abc")
+    rc, out, _ = run(capsys, "sweep", "--q", "3")
+    assert rc == 0 and json.loads(out)["rows"]
+    rc, out, _ = run(capsys, "reference")
+    assert rc == 0 and out.count("PASS") == 6
 
 
 def test_classify_enumerates_only_other_codes(capsys, tmp_path, gf49,
@@ -274,6 +296,16 @@ def test_full_sweep_catalog_pinned(capsys):
         "1ee350672ea71430d4c5bccc86d3767b11218783a033039d71db51d6011385fd")
 
 
+def test_even_q_sweep_catalog_pinned(capsys):
+    # the only pinned catalog in characteristic 2; it reaches the class I
+    # configurations with a != 0 and B = 0, which list no eta
+    rc, out, _ = run(capsys, "sweep", "--q", "2", "4", "8", "16",
+                     "--class", "both", "--format", "csv")
+    assert rc == 0 and len(out.splitlines()) == 571
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "1c82a52c7bec2b7dd94f54104d2ed533d6e9b0a107ca9b5dfa3007f053c6d2ed")
+
+
 def test_sweep_q2_minimal(capsys):
     # n = 2 forces k = 1; the x = {0, 1} subset has locator sum 1, so the
     # characteristic-2 exclusion never triggers and valid codes exist
@@ -334,6 +366,23 @@ def test_invariant_failure_exits_3(capsys, tmp_path, gf49, monkeypatch):
     rc, out, err = run(capsys, "classify", path)
     assert rc == 3 and out == ""
     assert json.loads(err)["error"] == "InvariantError"
+
+
+def test_field_invariant_failure_exits_3(capsys, monkeypatch):
+    import gtrscodes.cli as cli
+
+    def corrupt(q):
+        # every nonzero subfield element collapses to 1
+        field = quadratic_extension(q)
+        field.exp = [1] * len(field.exp)
+        return field
+
+    monkeypatch.setattr(cli, "quadratic_extension", corrupt)
+    rc, out, err = run(capsys, "construct", "--class", "I", "--q", "7",
+                       "--n", "6", "--al", "0", "--auto")
+    assert rc == 3 and out == ""
+    assert json.loads(err) == {"error": "InvariantError", "message":
+                               "expected 7 distinct subfield elements"}
 
 
 def test_bad_arguments_exit_2(capsys, tmp_path):

@@ -6,6 +6,7 @@ import pytest
 from gtrscodes import (
     GTRSError,
     GTRSParams,
+    InvariantError,
     LinearCode,
     Matrix,
     TwistSpec,
@@ -167,6 +168,13 @@ def test_dual_parity_contract(gf49):
 def test_dual_parity_requires_subgroup(gf49):
     params = plus_gtrs(gf49, [1, 2, 3], [1, 1, 1], 5, 1)
     with pytest.raises(GTRSError):
+        dual_parity_matrix(params)
+
+
+def test_dual_parity_rank_failure_is_an_invariant_error(gf7, monkeypatch):
+    params = plus_gtrs(gf7, [1, 6], [1, 1], 2, 1)
+    monkeypatch.setattr(Matrix, "rank", lambda self: 0)
+    with pytest.raises(InvariantError, match="rank deficient"):
         dual_parity_matrix(params)
 
 

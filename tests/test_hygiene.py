@@ -48,6 +48,29 @@ def test_no_unused_imports_in_package():
     assert {name: names for name, names in found.items() if names} == {}
 
 
+def assert_statements(source: str) -> list[int]:
+    """Lines of `assert` statements, which vanish under `python -O`."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Assert))
+
+
+def test_assert_statement_is_detected():
+    src = ("def f(x):\n"
+           "    assert x, 'message'\n"
+           "    if not x:\n"
+           "        raise ValueError('assert in a string is fine')\n"
+           "    assert (x\n"
+           "            > 0)\n")
+    assert assert_statements(src) == [2, 5]
+
+
+def test_no_assert_statements_in_package():
+    found = {p.name: assert_statements(p.read_text())
+             for p in sorted(SRC.glob("*.py"))}
+    assert found
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
 def unused_private_functions(sources: dict[str, str]) -> list[str]:
     """Module-level functions with a single leading underscore that no
     module among `sources` (name -> source) refers to by name or as an

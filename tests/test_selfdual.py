@@ -18,8 +18,7 @@ from gtrscodes import (
     sweep_constructions,
     zeta_roots,
 )
-from gtrscodes.selfdual import (_build_class1, _build_class2,
-                                _row_space_keys, canonical_x_subsets)
+from gtrscodes.selfdual import _build, _row_space_keys, canonical_x_subsets
 
 from conftest import exhaustive_class, field_q2, reference_rref, sweep_cache
 
@@ -240,8 +239,7 @@ def built_constructions(field):
             for a_l in sub:
                 for m in [None, *range(1, q + 1)]:
                     try:
-                        yield (_build_class1(field, a_l, x) if m is None
-                               else _build_class2(field, a_l, m, x))
+                        yield _build(field, a_l, m, x)
                     except ConstructionError:
                         pass
 
