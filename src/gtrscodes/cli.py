@@ -17,8 +17,8 @@ import sys
 from .codes import (DEFAULT_DISTANCE_CAP, CodeError, DistanceCapExceeded,
                     LinearCode)
 from .field import FieldError, GaloisField, InvariantError, quadratic_extension
-from .gtrs import (GTRSError, GTRSParams, dual_params,
-                   generator_matrix, is_mds_plus, plus_dual_euclidean)
+from .gtrs import (GTRSError, GTRSParams, code, dual_params, is_mds_plus,
+                   plus_dual_euclidean)
 from .linalg import LinalgError
 from .reference import verify_reference_rows
 from .selfdual import (ConstructionError, check_self_dual_criterion,
@@ -27,6 +27,14 @@ from .selfdual import (ConstructionError, check_self_dual_criterion,
 
 class UsageError(ValueError):
     pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises UsageError instead of printing usage and exiting, so a bad
+    command line gets the JSON error of exit 2; subparsers inherit it."""
+
+    def error(self, message):
+        raise UsageError(f"{self.prog}: {message}")
 
 
 def _emit(payload: str, out: str | None):
@@ -76,9 +84,11 @@ def _check_shape(obj: dict, shape: dict, where: str = "") -> None:
             raise UsageError(f"malformed input: {where}{key!r} has the wrong type")
 
 
-def _load_input(path: str) -> tuple[GaloisField, GTRSParams | None, LinearCode]:
+def _load_input(path: str) -> tuple[GTRSParams | None, LinearCode | None]:
     """A file holds either a full twisted-code datum or a raw generator.  The
-    shape of the document is checked here, before any constructor reads it."""
+    shape of the document is checked here, before any constructor reads it.
+    A datum gives (params, None), and commands that need its code call
+    `code(params)`; a raw generator gives (None, code)."""
     with open(path) as fh:
         data = json.load(fh)
     if not isinstance(data, dict):
@@ -88,10 +98,9 @@ def _load_input(path: str) -> tuple[GaloisField, GTRSParams | None, LinearCode]:
     field = GaloisField.from_dict(data["field"])
     if "twists" in data:
         _check_shape(data, _DATUM_SHAPE)
-        params = GTRSParams.from_dict(data, field=field)
-        return field, params, LinearCode(field, generator_matrix(params))
+        return GTRSParams.from_dict(data, field=field), None
     _check_shape(data, _RAW_SHAPE)
-    return field, None, LinearCode.from_dict(data, field=field)
+    return None, LinearCode.from_dict(data, field=field)
 
 
 def _parse_elements(field: GaloisField, text: str) -> list[int]:
@@ -127,10 +136,11 @@ def cmd_construct(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    field, params, code = _load_input(args.file)
+    params, lin = _load_input(args.file)
+    n, k = (lin.n, lin.k) if params is None else (params.n, params.k)
     report = {
-        "n": code.n,
-        "k": code.k,
+        "n": n,
+        "k": k,
         "hermitian_self_dual": None,
         "gram_zero": None,
         "thm4_polynomial_check": None,
@@ -146,10 +156,12 @@ def cmd_verify(args) -> int:
         except (GTRSError, ValueError) as exc:
             report["thm4_polynomial_check"] = False
             report["reason"] = str(exc)
-    if code.n % 2:
+    if n % 2:
         report["reason"] = "n odd"
     if gram is None:
-        gram = code.n == 2 * code.k and code.is_hermitian_self_dual()
+        # the criterion refused the datum, or there is none
+        lin = code(params) if lin is None else lin
+        gram = n == 2 * k and lin.is_hermitian_self_dual()
     report["gram_zero"] = gram
     report["hermitian_self_dual"] = gram
     _emit(_json(report), args.out)
@@ -159,15 +171,16 @@ def cmd_verify(args) -> int:
 def cmd_classify(args) -> int:
     if args.cap <= 0:
         raise UsageError("caps must be positive")
-    field, params, code = _load_input(args.file)
-    report: dict = {"n": code.n, "k": code.k}
+    params, lin = _load_input(args.file)
+    lin = code(params) if lin is None else lin
+    report: dict = {"n": lin.n, "k": lin.k}
     subset_verdict = None
     if params is not None and params.twist.is_plus():
-        subset_verdict = is_mds_plus(field, params.alpha, params.twist.eta[0],
-                                     params.k)
+        subset_verdict = is_mds_plus(params.field, params.alpha,
+                                     params.twist.eta[0], params.k)
         report["subset_criterion_mds"] = subset_verdict
     try:
-        label = code.classify(args.cap)
+        label = lin.classify(args.cap)
     except DistanceCapExceeded as exc:
         report["d"] = None
         report["class"] = None
@@ -181,25 +194,26 @@ def cmd_classify(args) -> int:
     report["class"] = label
     if label == "other":
         try:
-            report["d"] = code.min_distance(args.cap)
+            report["d"] = lin.min_distance(args.cap)
         except DistanceCapExceeded as exc:
             report["d"] = None
             report["note"] = f"distance cap exceeded ({exc}); class only"
     else:
-        report["d"] = code.n - code.k + (label == "MDS")
+        report["d"] = lin.n - lin.k + (label == "MDS")
     _emit(_json(report), args.out)
     return 0
 
 
 def cmd_dual(args) -> int:
-    field, params, code = _load_input(args.file)
+    params, lin = _load_input(args.file)
+    lin = code(params) if lin is None else lin
     mode = {"thm2": "group-closed-form", "lemma3": "plus-closed-form"}.get(
         args.mode, args.mode)
     if mode == "euclidean":
-        _emit(_json(code.dual_euclidean().to_dict()), args.out)
+        _emit(_json(lin.dual_euclidean().to_dict()), args.out)
         return 0
     if mode == "hermitian":
-        _emit(_json(code.dual_hermitian().to_dict()), args.out)
+        _emit(_json(lin.dual_hermitian().to_dict()), args.out)
         return 0
     if params is None:
         raise UsageError("closed-form duals need a twisted-code datum")
@@ -209,8 +223,7 @@ def cmd_dual(args) -> int:
         dual = plus_dual_euclidean(params)
     else:
         raise UsageError(f"unknown mode {args.mode!r}")
-    dual_code = LinearCode(field, generator_matrix(dual))
-    agrees = dual_code.equals(code.dual_euclidean())
+    agrees = code(dual).equals(lin.dual_euclidean())
     payload = dual.to_dict()
     payload["agrees_with_kernel_dual"] = agrees
     _emit(_json(payload), args.out)
@@ -274,7 +287,7 @@ def cmd_reference(args) -> int:
 # ---------------------------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="gtrs",
         description="Twisted Reed-Solomon codes: construction, duality, "
                     "Hermitian self-dual families, exact classification.")
@@ -334,9 +347,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (UsageError, ConstructionError, GTRSError, FieldError, CodeError,
             LinalgError, OSError, json.JSONDecodeError, UnicodeDecodeError,

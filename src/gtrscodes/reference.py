@@ -92,17 +92,17 @@ def _row_holds(field: GaloisField, omega: int, row: dict,
     return True
 
 
-def verify_reference_rows(field: GaloisField | None = None,
-                          eta_index: int | None = None) -> list[RowReport]:
-    """Verify every bundled row: self-duality plus exact brute-force distance,
-    under a searched primitive-element convention.  Rows whose data pin the
-    convention (subfield-coded entries) must verify under some w with
-    w^8 = 3.  An eta_index must exist in every row."""
+def verify_reference_rows(eta_index: int | None = None) -> list[RowReport]:
+    """Verify every bundled row over the default GF(49): self-duality plus
+    exact brute-force distance, under a searched primitive-element
+    convention.  Rows whose data pin the convention (subfield-coded
+    entries) must verify under some w with w^8 = 3.  An eta_index must
+    exist in every row."""
     shared = min(len(row["eta"]) for row in REFERENCE_ROWS)
     if eta_index is not None and not 0 <= eta_index < shared:
         raise GTRSError(f"eta_index must lie in [0, {shared - 1}]: "
                         "an index must exist in every bundled row")
-    field = field or GaloisField(7, 2)
+    field = GaloisField(7, 2)
     three = 3  # subfield element fixed by every field automorphism
     candidates = field.primitive_elements()
     reports = []

@@ -17,7 +17,6 @@ the equation and give the MDS [2, 1, 2] code.
 
 from __future__ import annotations
 
-from bisect import bisect
 from dataclasses import dataclass
 from itertools import product
 
@@ -25,7 +24,7 @@ from .codes import LinearCode
 from .field import GaloisField, InvariantError
 from .gtrs import (GTRSError, GTRSParams, alpha_sum, generator_matrix,
                    is_mds_plus, plus_gtrs, u_vector)
-from .linalg import Matrix, echelon, reduce_row
+from .linalg import echelon
 
 
 class ConstructionError(ValueError):
@@ -189,13 +188,21 @@ def construct_class2(field: GaloisField, a_l: int, m: int, x_subset) -> Construc
     return _verified(_build(field, a_l, m, x_subset))
 
 
+def _coset(field: GaloisField, a_l: int, m: int | None) -> tuple[int, int]:
+    """(c, beta) of the coset c + beta * GF(q): (a_l * w, 1) for class I
+    (m is None), (a_l, w^m) for class II."""
+    if m is None:
+        return field.mul(a_l, field.generator), 1
+    return a_l, field.pow(field.generator, m)
+
+
 def _build(field: GaloisField, a_l: int, m: int | None, x_subset) -> ConstructionResult:
-    """Locators c + beta * x_i on the coset c + beta * GF(q): class I when m
-    is None (c = a_l * w, beta = 1), class II otherwise (c = a_l, beta = w^m).
-    Multipliers solve N(v_i) = beta^(n-1) u_i. With B = k*c + k*c^q /
-    beta^(q-1) + beta * sum(x), the eta candidates are the zeta roots over B
-    when a and B are nonzero, none for class I in characteristic 2 when only
-    B is zero, and the roots of eta^(q-1) = -beta^-(q-1) otherwise."""
+    """Locators c + beta * x_i on the coset `_coset(field, a_l, m)`, 1 <= m
+    <= q for class II. Since beta^(n-1) u_i(alpha) = u_i(x), the multipliers
+    solve N(v_i) = u_i(x). With B = k*c + k*c^q / beta^(q-1) + beta *
+    sum(x), the eta candidates are the zeta roots over B when a and B are
+    nonzero, none for class I in characteristic 2 when only B is zero, and
+    the roots of eta^(q-1) = -beta^-(q-1) otherwise."""
     q = field._require_square()
     field.check(a_l)
     if not field.in_subfield(a_l):
@@ -210,23 +217,18 @@ def _build(field: GaloisField, a_l: int, m: int | None, x_subset) -> Constructio
         raise ConstructionError("length must be even and >= 2")
     if n > q:
         raise ConstructionError(f"length {n} exceeds coset size q = {q}")
-    w = field.generator
-    if m is None:
-        c, beta = field.mul(a_l, w), 1
-    elif 1 <= m <= q:
-        c, beta = a_l, field.pow(w, m)
-    else:
+    if m is not None and not 1 <= m <= q:
         raise ConstructionError(f"m must lie in [1, {q}]")
+    c, beta = _coset(field, a_l, m)
     alpha = [field.add(c, field.mul(beta, xi)) for xi in x]
     a = alpha_sum(field, alpha)
     if a == 0 and field.p == 2:
         raise ConstructionError(
             "locator sum zero in characteristic 2 is excluded")
-    lam = field.pow(beta, n - 1)
-    scaled = [field.mul(lam, ui) for ui in u_vector(field, alpha)]
-    if not all(field.in_subfield(si) for si in scaled):
+    u = u_vector(field, x)
+    if not all(field.in_subfield(ui) for ui in u):
         raise InvariantError("expected multiplier data in the subfield")
-    v = [field.solve_norm(si) for si in scaled]
+    v = [field.solve_norm(ui) for ui in u]
 
     beta_q1 = field.pow(beta, q - 1)
     big_b = 0
@@ -256,37 +258,27 @@ def _build(field: GaloisField, a_l: int, m: int | None, x_subset) -> Constructio
 # Sweeps
 # ---------------------------------------------------------------------------
 
-def _row_space_keys(res: ConstructionResult) -> tuple:
+def _row_space_keys(res: ConstructionResult, memo: dict) -> tuple:
     """The sorted RREF row-space keys of the codes of every listed eta, equal
     to sorted `generator_matrix(res.params(eta)).row_space_key()`.
 
-    Rows v*alpha^i, i < k-1, of G are shared by every eta, and the last row
-    v*(alpha^(k-1) + eta*alpha^k) is affine in eta: the shared rows are
-    reduced once, and each eta costs one normalised row r0' + eta*r1' plus
-    clearing its pivot column from the shared rows (RREF is unique)."""
-    f, k = res.field, res.k
-    mul, add = f.mul, f.add
-    rows = [list(res.v)]
-    for _ in range(k):
-        rows.append([mul(x, a) for x, a in zip(rows[-1], res.alpha)])
-    red, rank, pivots = Matrix(f, rows[:k - 1], cols=res.n).rref()
-    degenerate = GTRSError(
-        "degenerate twist configuration: generator rank below k")
-    if rank != k - 1:
-        raise degenerate
-    base = list(zip(pivots, red.data[:rank]))
-    r0, r1 = reduce_row(f, rows[k - 1], base), reduce_row(f, rows[k], base)
+    With alpha = c + beta * x the code of eta is the plain single-twist code
+    on x (same multipliers) with twist beta*eta / (1 + k*c*eta), or with
+    last row v * x^k when that denominator is 0: modulo the rows of degree
+    below k - 1, alpha^(k-1) + eta*alpha^k is beta^(k-1) ((1 + k*c*eta)
+    x^(k-1) + beta*eta x^k). `memo` maps each plain form (x, twist or None)
+    to the key of the first code built for it."""
+    f = res.field
+    c, beta = _coset(f, res.a_l, res.m)
+    kc = f.mul(f.scalar(res.k), c)
     keys = []
     for eta, _ in res.eta_list:
-        w = [add(x, mul(eta, y)) for x, y in zip(r0, r1)]
-        c = next((j for j, x in enumerate(w) if x), None)
-        if c is None:
-            raise degenerate
-        s = f.inv(w[c])
-        w = tuple(mul(s, x) for x in w)
-        out = [tuple(reduce_row(f, b, ((c, w),))) for _, b in base]
-        out.insert(bisect(pivots, c), w)
-        keys.append(tuple(out))
+        denom = f.add(1, f.mul(kc, eta))
+        plain = (res.x_subset,
+                 f.div(f.mul(beta, eta), denom) if denom else None)
+        if plain not in memo:
+            memo[plain] = generator_matrix(res.params(eta)).row_space_key()
+        keys.append(memo[plain])
     return tuple(sorted(keys))
 
 
@@ -316,6 +308,7 @@ def sweep_constructions(field: GaloisField, n_values=None,
     exponents = {"I": [None], "II": range(1, q + 1)}
     results = []
     seen = set()
+    memo = {}
     for n in sorted(n_values):
         if n % 2 or n < 2 or n > q:
             raise ConstructionError(f"invalid sweep length {n}")
@@ -328,7 +321,7 @@ def sweep_constructions(field: GaloisField, n_values=None,
                         res = _build(field, a_l, m, x)
                     except ConstructionError:
                         continue
-                    key = _row_space_keys(res)
+                    key = _row_space_keys(res, memo)
                     if key in seen:
                         continue
                     seen.add(key)

@@ -1,10 +1,12 @@
 import hashlib
 import json
+import sys
 
 import pytest
 
 from gtrscodes import (LinearCode, Matrix, alpha_sum, construct_class1,
-                       is_mds_plus, plus_gtrs, quadratic_extension)
+                       generator_matrix, is_mds_plus, plus_gtrs,
+                       quadratic_extension)
 from gtrscodes.cli import main
 
 from conftest import field_q2
@@ -93,6 +95,24 @@ def test_verify_takes_one_gram_product(capsys, tmp_path, gf49, monkeypatch):
     assert rc == 0 and calls == [3]
     doc = json.loads(out)
     assert doc["gram_zero"] and doc["thm4_polynomial_check"] is True
+
+
+def test_verify_builds_one_generator(capsys, tmp_path, gf49, monkeypatch):
+    res = construct_class1(gf49, 0, gf49.subfield_elements()[1:])
+    path = write_params(tmp_path, res.params(res.eta_list[0][0]))
+    calls = []
+
+    def counted(params):
+        calls.append(params)
+        return generator_matrix(params)
+
+    # every module that binds the function, so no caller escapes the count
+    for name, mod in list(sys.modules.items()):
+        if (name.split(".")[0] == "gtrscodes"
+                and getattr(mod, "generator_matrix", None) is generator_matrix):
+            monkeypatch.setattr(mod, "generator_matrix", counted)
+    rc, _, _ = run(capsys, "verify", path)
+    assert rc == 0 and len(calls) == 1
 
 
 def test_verify_odd_length(capsys, tmp_path, gf49):
@@ -390,7 +410,14 @@ def test_bad_arguments_exit_2(capsys, tmp_path):
                   "--al", "0", "--x", "a,b,c,d,e,f"),
                  ("reference", "--eta-index", "99"),
                  ("reference", "--eta-index", "1"),
-                 ("verify", str(tmp_path))):
+                 ("verify", str(tmp_path)),
+                 # argparse refusals: a bad int, a bad choice, a missing
+                 # command
+                 ("classify", str(tmp_path / "f"), "--cap", "abc"),
+                 ("sweep", "--q", "3", "--format", "xml"),
+                 ("construct", "--class", "III", "--q", "7", "--n", "6",
+                  "--al", "0"),
+                 ()):
         rc, out, err = run(capsys, *argv)
         assert rc == 2 and out == ""
         assert "error" in json.loads(err)

@@ -1,12 +1,14 @@
 import random
 
 import pytest
+from hypothesis import event, given, reject, settings, strategies as st
 
 from gtrscodes import (
     ConstructionError,
     ConstructionResult,
     GTRSError,
     InvariantError,
+    LinearCode,
     check_self_dual_criterion,
     classify_eta,
     code,
@@ -16,9 +18,12 @@ from gtrscodes import (
     is_mds_plus,
     plus_gtrs,
     sweep_constructions,
+    u_vector,
     zeta_roots,
 )
-from gtrscodes.selfdual import _build, _row_space_keys, canonical_x_subsets
+from gtrscodes.linalg import Matrix
+from gtrscodes.selfdual import (_build, _coset, _row_space_keys,
+                                canonical_x_subsets)
 
 from conftest import exhaustive_class, field_q2, reference_rref, sweep_cache
 
@@ -109,7 +114,6 @@ def test_class1_nonzero_sum(gf49):
 
 
 def test_class1_u_in_subfield(gf49):
-    from gtrscodes import u_vector
     for a_l in gf49.subfield_elements():
         res = construct_class1(gf49, a_l, gf49.subfield_elements()[:4])
         for u in u_vector(gf49, res.alpha):
@@ -246,7 +250,10 @@ def built_constructions(field):
 
 @pytest.mark.parametrize("q", [3, 4, 5, 8, 9])
 def test_row_space_keys_match_generator_rref(q):
-    # q = 4 and q = 8 take the characteristic-2 (XOR) addition path
+    # one memo for every built construction, as in a sweep: most keys then
+    # come from another construction's code, so this checks the plain-twist
+    # substitution against the oracle (q = 4 and q = 8 add by XOR)
+    memo = {}
     built = 0
     for res in built_constructions(field_q2(q)):
         gens = [generator_matrix(res.params(eta)) for eta, _ in res.eta_list]
@@ -255,26 +262,31 @@ def test_row_space_keys_match_generator_rref(q):
             red, rank, _ = reference_rref(g.field, g.data, g.cols)
             oracle.append(red[:rank])
         oracle = tuple(sorted(oracle))
-        assert _row_space_keys(res) == oracle
+        assert _row_space_keys(res, memo) == oracle
         assert tuple(sorted(g.row_space_key() for g in gens)) == oracle
         built += 1
-    assert built > 0
+    assert built > len(memo) > 0
 
 
-def test_row_space_keys_rank_guard(gf49):
-    # rows v, v*alpha of a constant-locator [6,3] datum have rank 1 < k - 1
-    flat = ConstructionResult("I", gf49, 0, None, (), (1,) * 6, (1,) * 6, 6,
-                              ((1, "MDS"),))
-    # v*(1 + eta*alpha) vanishes when every locator is -1/eta
-    zero = ConstructionResult("I", gf49, 0, None, (), (gf49.neg(1),) * 2,
-                              (1, 1), gf49.neg(2), ((1, "MDS"),))
-    for res in (flat, zero):
-        with pytest.raises(GTRSError, match="generator rank below k"):
-            _row_space_keys(res)
+def test_row_space_keys_rank_guard(gf49, monkeypatch):
+    # the key builds its codes through generator_matrix, whose rank guard
+    # stops the sweep
+    monkeypatch.setattr(Matrix, "rank", lambda self: 0)
+    with pytest.raises(GTRSError, match="generator rank below k"):
+        sweep_constructions(gf49)
 
 
 def test_sweep_builds_one_generator_per_kept_code(gf49, monkeypatch):
+    # one generator per distinct plain form (x subset, plain twist) for the
+    # key, plus one per kept code for the verifier
     import gtrscodes.selfdual as selfdual
+    plain = set()
+    for res in built_constructions(gf49):
+        c, beta = _coset(gf49, res.a_l, res.m)
+        for eta, _ in res.eta_list:
+            denom = gf49.add(1, gf49.mul(gf49.mul(gf49.scalar(res.k), c), eta))
+            plain.add((res.x_subset, gf49.div(gf49.mul(beta, eta), denom)
+                       if denom else None))
     calls = []
 
     def counted(params):
@@ -283,7 +295,67 @@ def test_sweep_builds_one_generator_per_kept_code(gf49, monkeypatch):
 
     monkeypatch.setattr(selfdual, "generator_matrix", counted)
     results = sweep_constructions(gf49)
-    assert len(calls) == sum(len(r.eta_list) for r in results) > 0
+    kept = sum(len(r.eta_list) for r in results)
+    assert (kept, len(plain)) == (138, 42)
+    assert len(calls) == kept + len(plain)
+
+
+def plain_code(field, res, eta):
+    """The single-twist code on the x subset that the code of eta equals:
+    rows v*x^j (j < k-1) and v*(x^(k-1) + eta'*x^k) with eta' = beta*eta /
+    (1 + k*c*eta), or v*x^k when that denominator is 0. Returns the code
+    and whether the denominator was 0."""
+    w = field.generator
+    c, beta = ((field.mul(res.a_l, w), 1) if res.m is None
+               else (res.a_l, field.pow(w, res.m)))
+    k = res.k
+    denom = field.add(1, field.mul(field.mul(field.scalar(k), c), eta))
+    rows = [[field.mul(vi, field.pow(xi, j))
+             for xi, vi in zip(res.x_subset, res.v)] for j in range(k - 1)]
+    if denom:
+        tw = field.div(field.mul(beta, eta), denom)
+        last = [field.add(field.pow(xi, k - 1), field.mul(tw, field.pow(xi, k)))
+                for xi in res.x_subset]
+    else:
+        last = [field.pow(xi, k) for xi in res.x_subset]
+    rows.append([field.mul(vi, y) for vi, y in zip(res.v, last)])
+    return LinearCode(field, Matrix(field, rows, cols=res.n)), denom == 0
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_swept_codes_are_plain_twists_on_x(data):
+    q = data.draw(st.sampled_from([3, 4, 5, 7, 8, 9]), label="q")
+    f = field_q2(q)
+    sub = f.subfield_elements()
+    n = data.draw(st.sampled_from(range(2, q + 1, 2)), label="n")
+    x = data.draw(st.permutations(sub), label="order")[:n]
+    a_l = data.draw(st.sampled_from(sub), label="a_l")
+    m = data.draw(st.sampled_from([None, *range(1, q + 1)]), label="m")
+    try:
+        res = _build(f, a_l, m, x)
+    except ConstructionError:
+        reject()
+    assert res.v == tuple(f.solve_norm(u) for u in u_vector(f, x))
+    for eta, _ in res.eta_list:
+        plain, zero = plain_code(f, res, eta)
+        if zero:
+            event("x^k row")
+        assert code(res.params(eta)).equals(plain)
+
+
+@pytest.mark.parametrize("q", [3, 5, 7])
+def test_plain_twist_x_k_row(q):
+    # 1 + k*c*eta = 0 leaves the last row v*x^k
+    f = field_q2(q)
+    hits = 0
+    for res in built_constructions(f):
+        for eta, _ in res.eta_list:
+            plain, zero = plain_code(f, res, eta)
+            if zero:
+                assert code(res.params(eta)).equals(plain)
+                hits += 1
+    assert hits > 0
 
 
 def test_serialization(gf49):
