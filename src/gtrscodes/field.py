@@ -186,8 +186,10 @@ class GaloisField:
         self.q = p ** (m // 2) if m % 2 == 0 else None
 
         if generator is None:
-            # the smallest element of full order; every field has one
-            for gen in range(1, self.order):
+            # the smallest element of full order; every field has one.  An
+            # element of GF(p) has order dividing p - 1, so an extension
+            # field starts the search past the prime subfield.
+            for gen in range(p if m > 1 else 1, self.order):
                 exp = self._exp_table(gen)
                 if exp is not None:
                     break
@@ -205,22 +207,23 @@ class GaloisField:
     def _exp_table(self, g: int):
         """Two periods of the powers of g as a numpy array, or None when g
         is not primitive.  Built by doubling: multiplying by a fixed c is
-        GF(p)-linear on the digits, row j of its matrix being c * x^j."""
+        GF(p)-linear on the digits, row j of its matrix being c * x^j, and
+        the matrix of c^2 is the square of the matrix of c."""
         import numpy as np    # deferred: `import gtrscodes` stays numpy-free
         p, m, n1 = self.p, self.m, self.order - 1
         place = p ** np.arange(m, dtype=np.int64)
         exp = np.empty(2 * n1, dtype=np.int32)
         exp[0] = 1
-        done, c = 1, g                       # c = g^done
+        times_c = np.array([self.coeffs(self._raw_mul(g, p ** j))
+                            for j in range(m)], dtype=np.int64)
+        done = 1                             # times_c multiplies by g^done
         while done < n1:
             step = min(done, n1 - done)
-            times_c = np.array([self.coeffs(self._raw_mul(c, p ** j))
-                                for j in range(m)], dtype=np.int64)
             block = exp[:step, None] // place % p @ times_c % p @ place
             if (block == 1).any():           # g^i = 1 for some 0 < i < n1
                 return None
             exp[done:done + step] = block
-            done, c = done + step, self._raw_mul(c, c)
+            done, times_c = done + step, times_c @ times_c % p
         exp[n1:] = exp[:n1]
         return exp
 
@@ -248,13 +251,16 @@ class GaloisField:
 
         self._add = None
         if p != 2 and self.order <= TABLE_CAP:
-            # x + y as integers, less p^(i+1) wherever digit i carries
-            small = np.arange(self.order, dtype=np.uint16)
-            add = np.add.outer(small, small)
-            for i in range(m):
-                d = digits[:, i].astype(np.uint16)
-                np.subtract(add, p ** (i + 1), out=add,
-                            where=np.greater_equal.outer(d, p - d))
+            # digit sums mod p, then one more digit per step: on axes
+            # (x_i, x_low, y_i, y_low) the sum is p^i s[x_i, y_i] plus the
+            # table of the low digits
+            small = np.arange(p, dtype=np.uint16)
+            s = np.add.outer(small, small)
+            np.subtract(s, p, out=s, where=s >= p)
+            add = s
+            for i in range(1, m):
+                add = ((p ** i * s)[:, None, :, None]
+                       + add[None, :, None, :]).reshape(p ** (i + 1), -1)
             self._add = memoryview(add)
 
     # -- raw (table-free) arithmetic, used during construction ------------

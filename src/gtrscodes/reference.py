@@ -12,10 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .codes import LinearCode
 from .field import GaloisField
-from .gtrs import GTRSError, generator_matrix, plus_gtrs
-from .selfdual import check_self_dual_criterion
+from .gtrs import GTRSError, plus_gtrs
+from .selfdual import _self_dual_code
 
 # element tokens: "wE" = w^E, otherwise a subfield integer
 REFERENCE_ROWS = (
@@ -81,13 +80,10 @@ def _row_holds(field: GaloisField, omega: int, row: dict,
         if eta == 0:
             return False
         try:
-            params = plus_gtrs(field, alpha, v, eta, k)
-            if not check_self_dual_criterion(params):
-                return False
-            code = LinearCode(field, generator_matrix(params))
+            code = _self_dual_code(plus_gtrs(field, alpha, v, eta, k))
         except ValueError:
             return False
-        if code.min_distance() != d:
+        if code is None or code.min_distance() != d:
             return False
     return True
 

@@ -37,7 +37,13 @@ class ConstructionError(ValueError):
 
 def check_self_dual_criterion(params: GTRSParams) -> bool:
     """Exact Hermitian self-duality test for a single-twist code, run along
-    two independent routes that must agree:
+    two independent routes that must agree (see `_self_dual_code`)."""
+    return _self_dual_code(params) is not None
+
+
+def _self_dual_code(params: GTRSParams) -> LinearCode | None:
+    """The code of params when it is Hermitian self-dual, else None.  Two
+    independent routes decide, and they must agree:
 
     (i)  Gram route: G conj(G)^T = 0 with n = 2k;
     (ii) polynomial route: for every basis polynomial f, the point values
@@ -58,7 +64,8 @@ def check_self_dual_criterion(params: GTRSParams) -> bool:
     if denom == 0:
         raise GTRSError("excluded eta: 1 + a*eta = 0")
 
-    gram_ok = LinearCode(field, generator_matrix(params)).is_hermitian_self_dual()
+    lin = LinearCode(field, generator_matrix(params))
+    gram_ok = lin.is_hermitian_self_dual()
 
     # polynomial route: every target column lies in the column space of the
     # dual-shape basis B, i.e. rank [B | targets] = rank B
@@ -80,7 +87,7 @@ def check_self_dual_criterion(params: GTRSParams) -> bool:
         raise InvariantError(
             "internal invariant violated: Gram and polynomial self-duality "
             "checks disagree")
-    return gram_ok
+    return lin if gram_ok else None
 
 
 def zeta_roots(field: GaloisField) -> list[int]:

@@ -1,5 +1,7 @@
 import itertools
+import json
 import random
+import sys
 
 import pytest
 
@@ -271,6 +273,24 @@ def test_reference_invariant_failure_is_not_a_failed_row(monkeypatch):
     def broken(params):
         raise InvariantError("routes disagree")
 
-    monkeypatch.setattr(reference, "check_self_dual_criterion", broken)
+    monkeypatch.setattr(reference, "_self_dual_code", broken)
     with pytest.raises(InvariantError):
         verify_reference_rows()
+
+
+def test_reference_builds_one_generator_per_datum(monkeypatch):
+    import gtrscodes.gtrs as gtrs
+    calls = []
+
+    def counted(params):
+        calls.append(json.dumps(params.to_dict(), sort_keys=True))
+        return generator_matrix(params)
+
+    generator_matrix = gtrs.generator_matrix
+    # every module that binds the function, so no caller escapes the count
+    for name, mod in list(sys.modules.items()):
+        if (name.split(".")[0] == "gtrscodes"
+                and getattr(mod, "generator_matrix", None) is generator_matrix):
+            monkeypatch.setattr(mod, "generator_matrix", counted)
+    assert all(r.passed for r in verify_reference_rows(eta_index=0))
+    assert len(calls) == len(set(calls)) == 10

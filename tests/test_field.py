@@ -279,3 +279,42 @@ def test_import_leaves_numpy_unloaded():
                          text=True, check=True,
                          env={**os.environ, "PYTHONPATH": src}).stdout
     assert out.strip() == "False"
+
+
+# the tables' independent oracles: powers by a _raw_mul chain, orders by
+# brute force, sums by _raw_add
+ORACLE_FIELDS = [(2, 4), (2, 12), (3, 5), (3, 7), (5, 3), (7, 2), (37, 2),
+                 (4093, 1)]
+
+
+@pytest.mark.parametrize("p,m", ORACLE_FIELDS)
+def test_exp_table_is_the_generator_power_chain(p, m):
+    f = table_field(p, m)
+    n1, acc = f.order - 1, 1
+    for i in range(2 * n1):
+        assert f.exp[i] == acc, i
+        acc = f._raw_mul(acc, f.generator)
+
+
+@pytest.mark.parametrize("p,m", ORACLE_FIELDS)
+def test_default_generator_is_the_smallest_full_order_element(p, m):
+    f = table_field(p, m)
+    orders = [brute_order(f._raw_mul, x, f.order) for x in
+              range(1, f.generator + 1)]
+    assert orders[-1] == f.order - 1
+    assert all(o < f.order - 1 for o in orders[:-1])
+
+
+@pytest.mark.parametrize("p,m", [(p, m) for p, m in ORACLE_FIELDS if p != 2])
+def test_add_table_matches_raw_add(p, m):
+    f = table_field(p, m)
+    add = np.asarray(f._add)
+    assert add.dtype == np.uint16 and add.flags.c_contiguous
+    assert add.shape == (f.order, f.order)
+    if f.order <= 729:
+        pairs = [(x, y) for x in f.elements() for y in f.elements()]
+    else:
+        rng = np.random.default_rng(p ** m)
+        pairs = rng.integers(0, f.order, size=(20_000, 2)).tolist()
+    assert [int(add[x, y]) for x, y in pairs] == \
+        [f._raw_add(x, y) for x, y in pairs]
