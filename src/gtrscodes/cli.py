@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import functools
 import io
 import json
 import sys
@@ -287,11 +286,7 @@ def cmd_reference(args) -> int:
 # parser / entry point
 # ---------------------------------------------------------------------------
 
-@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The `gtrs` parser, built once per process: parse_args keeps no state
-    between calls, so repeated in-process requests share it.  Each command
-    names its handler, which `main` looks up at call time."""
     p = _Parser(
         prog="gtrs",
         description="Twisted Reed-Solomon codes: construction, duality, "
@@ -311,12 +306,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="use the first canonical x subset (default when --x "
                         "is omitted)")
     c.add_argument("--out")
-    c.set_defaults(handler="cmd_construct")
+    c.set_defaults(func=cmd_construct)
 
     vfy = sub.add_parser("verify", help="check Hermitian self-duality")
     vfy.add_argument("file")
     vfy.add_argument("--out")
-    vfy.set_defaults(handler="cmd_verify")
+    vfy.set_defaults(func=cmd_verify)
 
     cla = sub.add_parser("classify", help="exact [n,k,d] and MDS/NMDS class")
     cla.add_argument("file")
@@ -324,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="bound on codewords enumerated or column subsets "
                           "ranked (default: 2^24)")
     cla.add_argument("--out")
-    cla.set_defaults(handler="cmd_classify")
+    cla.set_defaults(func=cmd_classify)
 
     d = sub.add_parser("dual", help="compute a dual code")
     d.add_argument("file")
@@ -332,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=("euclidean", "hermitian", "group-closed-form",
                             "plus-closed-form", "thm2", "lemma3"))
     d.add_argument("--out")
-    d.set_defaults(handler="cmd_dual")
+    d.set_defaults(func=cmd_dual)
 
     s = sub.add_parser("sweep", help="catalog of self-dual constructions")
     s.add_argument("--q", type=int, nargs="+", required=True)
@@ -341,12 +336,12 @@ def build_parser() -> argparse.ArgumentParser:
                    default="both")
     s.add_argument("--format", default="json", choices=("json", "csv"))
     s.add_argument("--out")
-    s.set_defaults(handler="cmd_sweep")
+    s.set_defaults(func=cmd_sweep)
 
     r = sub.add_parser("reference", aliases=["table1"],
                        help="verify the bundled GF(49) reference instances")
     r.add_argument("--eta-index", type=int, default=None)
-    r.set_defaults(handler="cmd_reference")
+    r.set_defaults(func=cmd_reference)
 
     return p
 
@@ -354,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return globals()[args.handler](args)
+        return args.func(args)
     except (UsageError, ConstructionError, GTRSError, FieldError, CodeError,
             LinalgError, OSError, json.JSONDecodeError, UnicodeDecodeError,
             KeyError, InvariantError) as exc:

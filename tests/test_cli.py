@@ -7,8 +7,7 @@ import pytest
 from gtrscodes import (LinearCode, Matrix, alpha_sum, construct_class1,
                        generator_matrix, is_mds_plus, plus_gtrs,
                        quadratic_extension)
-from gtrscodes import cli
-from gtrscodes.cli import build_parser, main
+from gtrscodes.cli import main
 
 from conftest import field_q2
 
@@ -379,6 +378,7 @@ def test_malformed_inputs_exit_2(capsys, tmp_path, gf7, gf49):
 
 
 def test_invariant_failure_exits_3(capsys, tmp_path, gf49, monkeypatch):
+    import gtrscodes.cli as cli
     res = construct_class1(gf49, 1, gf49.subfield_elements()[:6])
     path = write_params(tmp_path, res.params(res.eta_list[0][0]))
     monkeypatch.setattr(cli, "is_mds_plus",
@@ -389,6 +389,8 @@ def test_invariant_failure_exits_3(capsys, tmp_path, gf49, monkeypatch):
 
 
 def test_field_invariant_failure_exits_3(capsys, monkeypatch):
+    import gtrscodes.cli as cli
+
     def corrupt(q):
         # every nonzero subfield element collapses to 1
         field = quadratic_extension(q)
@@ -426,29 +428,3 @@ def test_cap_zero_is_rejected(capsys, tmp_path, gf7):
     rc, _, err = run(capsys, "classify", path, "--cap", "0")
     assert rc == 2
     assert json.loads(err)["message"] == "caps must be positive"
-
-
-def test_parser_is_built_once():
-    assert build_parser() is build_parser()
-
-
-def test_refusal_leaves_the_shared_parser_clean(capsys, monkeypatch):
-    # the refused argv sets options that the valid one leaves at defaults
-    rc, out, err = run(capsys, "sweep", "--q", "3", "--n", "2", "--class",
-                       "I", "--format", "xml")
-    assert rc == 2 and out == "" and "error" in json.loads(err)
-    argv = ["sweep", "--q", "3", "--format", "csv"]
-    shared = run(capsys, *argv)
-    monkeypatch.setattr(cli, "build_parser", build_parser.__wrapped__)
-    assert run(capsys, *argv) == shared and shared[0] == 0
-
-
-def test_shared_parser_runs_the_current_command(capsys, monkeypatch):
-    # a command rebound after the parser was built (as a tracer does) runs
-    build_parser()
-    calls = []
-    monkeypatch.setattr(cli, "cmd_reference",
-                        lambda args: calls.append(args.eta_index) or 0)
-    assert run(capsys, "reference", "--eta-index", "0") == (0, "", "")
-    assert run(capsys, "table1") == (0, "", "")
-    assert calls == [0, None]

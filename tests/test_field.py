@@ -221,9 +221,11 @@ def digit_add(p, x, y, sign=1):
     return out
 
 
-# GF(2^m) on both sides of TABLE_CAP, odd p with a table (a prime field, an
-# extension, 61^2 near the cap) and odd p above the cap (67^2)
-TABLE_FIELDS = [(2, 4), (2, 12), (2, 16), (7, 1), (4093, 1), (3, 5), (61, 2), (67, 2)]
+# GF(2^m) on both sides of TABLE_CAP, odd p with a table (prime fields,
+# extensions of degree 2, 3, 5 and 7, 61^2 near the cap) and odd p above the
+# cap (67^2)
+TABLE_FIELDS = [(2, 4), (2, 12), (2, 16), (7, 1), (4093, 1), (3, 5), (61, 2),
+                (67, 2), (3, 7), (5, 3), (7, 2), (37, 2)]
 
 
 @functools.lru_cache(maxsize=None)
@@ -252,11 +254,22 @@ def test_vectorised_add_matches_scalar(p, m):
             f.np_tables()
         return
     _, _, addt = f.np_tables()
-    rng = np.random.default_rng(p * 100 + m)
-    xs, ys = rng.integers(0, f.order, size=(2, 500))
-    vec = xs ^ ys if addt is None else addt[xs, ys]
-    assert addt is None if p == 2 else addt.shape == (f.order, f.order)
-    assert vec.tolist() == [f.add(int(x), int(y)) for x, y in zip(xs, ys)]
+    if f.order <= 729:
+        xs, ys = np.divmod(np.arange(f.order ** 2), f.order)
+    else:
+        rng = np.random.default_rng(p * 100 + m)
+        xs, ys = rng.integers(0, f.order, size=(2, 500))
+    if p == 2:
+        assert addt is None
+        vec = xs ^ ys
+    else:
+        # scalar add indexes the table through a memoryview
+        assert addt.shape == (f.order, f.order)
+        assert addt.dtype == np.uint16 and addt.flags.c_contiguous
+        vec = addt[xs, ys]
+    pairs = list(zip(xs.tolist(), ys.tolist()))
+    assert vec.tolist() == [f._raw_add(x, y) for x, y in pairs] \
+        == [f.add(x, y) for x, y in pairs]
 
 
 def test_large_fields_construct_and_compute():
@@ -281,8 +294,8 @@ def test_import_leaves_numpy_unloaded():
     assert out.strip() == "False"
 
 
-# the tables' independent oracles: powers by a _raw_mul chain, orders by
-# brute force, sums by _raw_add
+# the exp table's and generator's independent oracles: powers by a _raw_mul
+# chain, orders by brute force
 ORACLE_FIELDS = [(2, 4), (2, 12), (3, 5), (3, 7), (5, 3), (7, 2), (37, 2),
                  (4093, 1)]
 
@@ -303,18 +316,3 @@ def test_default_generator_is_the_smallest_full_order_element(p, m):
               range(1, f.generator + 1)]
     assert orders[-1] == f.order - 1
     assert all(o < f.order - 1 for o in orders[:-1])
-
-
-@pytest.mark.parametrize("p,m", [(p, m) for p, m in ORACLE_FIELDS if p != 2])
-def test_add_table_matches_raw_add(p, m):
-    f = table_field(p, m)
-    add = np.asarray(f._add)
-    assert add.dtype == np.uint16 and add.flags.c_contiguous
-    assert add.shape == (f.order, f.order)
-    if f.order <= 729:
-        pairs = [(x, y) for x in f.elements() for y in f.elements()]
-    else:
-        rng = np.random.default_rng(p ** m)
-        pairs = rng.integers(0, f.order, size=(20_000, 2)).tolist()
-    assert [int(add[x, y]) for x, y in pairs] == \
-        [f._raw_add(x, y) for x, y in pairs]
