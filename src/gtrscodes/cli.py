@@ -207,22 +207,16 @@ def cmd_classify(args) -> int:
 def cmd_dual(args) -> int:
     params, lin = _load_input(args.file)
     lin = code(params) if lin is None else lin
-    mode = {"thm2": "group-closed-form", "lemma3": "plus-closed-form"}.get(
-        args.mode, args.mode)
-    if mode == "euclidean":
+    if args.mode == "euclidean":
         _emit(_json(lin.dual_euclidean().to_dict()), args.out)
         return 0
-    if mode == "hermitian":
+    if args.mode == "hermitian":
         _emit(_json(lin.dual_hermitian().to_dict()), args.out)
         return 0
     if params is None:
         raise UsageError("closed-form duals need a twisted-code datum")
-    if mode == "group-closed-form":
-        dual = dual_params(params)
-    elif mode == "plus-closed-form":
-        dual = plus_dual_euclidean(params)
-    else:
-        raise UsageError(f"unknown mode {args.mode!r}")
+    dual = {"group-closed-form": dual_params,
+            "plus-closed-form": plus_dual_euclidean}[args.mode](params)
     agrees = code(dual).equals(lin.dual_euclidean())
     payload = dual.to_dict()
     payload["agrees_with_kernel_dual"] = agrees
@@ -301,10 +295,8 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--al", type=int, required=True,
                    help="coset label, a subfield element (integer encoding)")
     c.add_argument("--m", type=int, help="direction exponent (class II)")
-    c.add_argument("--x", help="comma-separated subfield elements")
-    c.add_argument("--auto", action="store_true",
-                   help="use the first canonical x subset (default when --x "
-                        "is omitted)")
+    c.add_argument("--x", help="comma-separated subfield elements (default: "
+                               "the first n)")
     c.add_argument("--out")
     c.set_defaults(func=cmd_construct)
 
@@ -325,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("file")
     d.add_argument("--mode", default="euclidean",
                    choices=("euclidean", "hermitian", "group-closed-form",
-                            "plus-closed-form", "thm2", "lemma3"))
+                            "plus-closed-form"))
     d.add_argument("--out")
     d.set_defaults(func=cmd_dual)
 
@@ -338,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--out")
     s.set_defaults(func=cmd_sweep)
 
-    r = sub.add_parser("reference", aliases=["table1"],
+    r = sub.add_parser("reference",
                        help="verify the bundled GF(49) reference instances")
     r.add_argument("--eta-index", type=int, default=None)
     r.set_defaults(func=cmd_reference)
@@ -348,6 +340,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     try:
+        if any("\0" in arg for arg in argv or ()):
+            # only an in-process caller can pass one; open() would raise
+            raise UsageError("arguments must not contain NUL bytes")
         args = build_parser().parse_args(argv)
         return args.func(args)
     except (UsageError, ConstructionError, GTRSError, FieldError, CodeError,

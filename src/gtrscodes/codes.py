@@ -39,10 +39,6 @@ class LinearCode:
         self.n = gen.cols
         self.k = gen.rows
 
-    @classmethod
-    def trivial(cls, field: GaloisField, n: int) -> "LinearCode":
-        return cls(field, Matrix(field, [], cols=n))
-
     def __repr__(self):
         return f"LinearCode([{self.n},{self.k}] over GF({self.field.order}))"
 

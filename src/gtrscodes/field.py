@@ -11,7 +11,7 @@ lookup tables, and characteristic-2 addition is XOR of the encodings.
 
 from __future__ import annotations
 
-from math import gcd
+from math import gcd, isqrt
 from typing import Sequence
 
 MAX_ORDER = 1 << 16      # largest field constructed
@@ -309,9 +309,6 @@ class GaloisField:
             raise FieldError(f"{x} is not an element of GF({self.order})")
         return x
 
-    def elements(self) -> range:
-        return range(self.order)
-
     # -- arithmetic ----------------------------------------------------------
 
     def add(self, x: int, y: int) -> int:
@@ -481,14 +478,15 @@ def quadratic_extension(q: int) -> GaloisField:
 
 
 def _prime_power(q: int) -> tuple[int, int]:
-    for p in range(2, q + 1):
-        if is_prime(p) and q % p == 0:
-            s = 0
-            t = q
-            while t % p == 0:
-                t //= p
-                s += 1
-            if t != 1:
-                break
-            return p, s
-    raise FieldError(f"{q} is not a prime power")
+    """(p, s) with q = p^s.  The smallest divisor > 1 of q is prime, and
+    trial division finds it by sqrt(q)."""
+    if q < 2:
+        raise FieldError(f"{q} is not a prime power")
+    p = next((d for d in range(2, isqrt(q) + 1) if q % d == 0), q)
+    s, t = 0, q
+    while t % p == 0:
+        t //= p
+        s += 1
+    if t != 1:
+        raise FieldError(f"{q} is not a prime power")
+    return p, s

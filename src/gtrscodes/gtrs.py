@@ -14,12 +14,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from math import comb
 
-from .codes import LinearCode
+from .codes import DEFAULT_DISTANCE_CAP, LinearCode
 from .field import GaloisField, InvariantError, poly_eval
 from .linalg import Matrix, is_multiplicative_subgroup
-
-SUBSET_SCAN_MAX_N = 28
 
 
 class GTRSError(ValueError):
@@ -299,15 +298,18 @@ def plus_dual_euclidean(params: GTRSParams) -> GTRSParams:
 def is_mds_plus(field: GaloisField, alpha, eta: int, k: int) -> bool:
     """Subset-sum criterion: the single-twist code is MDS iff no k-subset of
     the locators has eta * sum = -1.  Single-twist codes are MDS or NMDS,
-    so the complement is the NMDS test."""
+    so the complement is the NMDS test.  Refuses a scan of more than
+    DEFAULT_DISTANCE_CAP subsets, the cap of `LinearCode.classify`."""
     alpha = list(alpha)
     n = len(alpha)
     if eta == 0:
         raise GTRSError("eta must be nonzero")
-    if n > SUBSET_SCAN_MAX_N:
-        raise GTRSError(f"subset scan capped at n = {SUBSET_SCAN_MAX_N}")
     if not (1 <= k <= n):
         raise GTRSError("need 1 <= k <= n")
+    subsets = comb(n, k)
+    if subsets > DEFAULT_DISTANCE_CAP:
+        raise GTRSError(
+            f"{subsets} locator subsets exceed the cap {DEFAULT_DISTANCE_CAP}")
     target = field.neg(field.inv(eta))  # sum == -1/eta triggers non-MDS
     for subset in combinations(alpha, k):
         if alpha_sum(field, subset) == target:

@@ -1,10 +1,17 @@
+import contextlib
+import copy
 import hashlib
+import io
 import json
+import os
+import subprocess
 import sys
 
 import pytest
+from hypothesis import event, given, settings, strategies as st
 
-from gtrscodes import (LinearCode, Matrix, alpha_sum, construct_class1,
+import gtrscodes
+from gtrscodes import (LinearCode, Matrix, alpha_sum, code, construct_class1,
                        generator_matrix, is_mds_plus, plus_gtrs,
                        quadratic_extension)
 from gtrscodes.cli import main
@@ -42,7 +49,7 @@ def test_construct_class1_row1_family(capsys):
 
 def test_construct_class2_auto(capsys):
     rc, out, _ = run(capsys, "construct", "--class", "II", "--q", "7",
-                     "--n", "6", "--al", "0", "--m", "4", "--auto")
+                     "--n", "6", "--al", "0", "--m", "4")
     assert rc == 0
     doc = json.loads(out)
     assert doc["class"] == "II" and doc["m"] == 4
@@ -50,14 +57,14 @@ def test_construct_class2_auto(capsys):
 
 def test_construct_excluded_char2(capsys):
     rc, _, err = run(capsys, "construct", "--class", "I", "--q", "4",
-                     "--n", "4", "--al", "0", "--auto")
+                     "--n", "4", "--al", "0")
     assert rc == 2
     assert "error" in json.loads(err)
 
 
 def test_construct_missing_m(capsys):
     rc, _, err = run(capsys, "construct", "--class", "II", "--q", "7",
-                     "--n", "6", "--al", "0", "--auto")
+                     "--n", "6", "--al", "0")
     assert rc == 2
 
 
@@ -219,13 +226,29 @@ def test_classify_nmds_12_4_over_gf49(capsys, tmp_path, gf49):
     assert doc["subset_criterion_mds"] is False
 
 
+def test_classify_single_twist_30_1(capsys, tmp_path, gf49):
+    # n = 30 but only C(30, 1) = 30 locator subsets to scan
+    params = plus_gtrs(gf49, range(1, 31), [1] * 30, 5, 1)
+    rc, out, _ = run(capsys, "classify", write_params(tmp_path, params))
+    assert rc == 0
+    doc = json.loads(out)
+    assert (doc["class"], doc["d"]) == ("NMDS", 29)
+    assert doc["subset_criterion_mds"] is False
+    # oracle: d from the 49 messages, and dual distance 1 from the zero
+    # column at the locator -1/eta = 4; exhaustive_class would enumerate the
+    # [30, 29] dual instead
+    c = code(params)
+    assert c.min_distance() == 29
+    assert [j for j in range(30) if not any(r[j] for r in c.gen.data)] == [3]
+
+
 def test_dual_modes(capsys, tmp_path, gf49):
     # 8th roots of unity form a multiplicative subgroup
     w = gf49.generator
     alpha = [gf49.pow(w, 6 * i) for i in range(8)]
     params = plus_gtrs(gf49, alpha, [1] * 8, w, 3)
     path = write_params(tmp_path, params)
-    for mode in ("group-closed-form", "thm2", "plus-closed-form", "lemma3"):
+    for mode in ("group-closed-form", "plus-closed-form"):
         rc, out, _ = run(capsys, "dual", path, "--mode", mode)
         assert rc == 0
         assert json.loads(out)["agrees_with_kernel_dual"] is True
@@ -245,7 +268,7 @@ def test_dual_excluded_eta(capsys, tmp_path, gf49):
     eta = gf49.neg(gf49.inv(a))
     params = plus_gtrs(gf49, alpha, [1] * 4, eta, 2)
     path = write_params(tmp_path, params)
-    rc, _, err = run(capsys, "dual", path, "--mode", "lemma3")
+    rc, _, err = run(capsys, "dual", path, "--mode", "plus-closed-form")
     assert rc == 2
     assert "excluded eta" in json.loads(err)["message"]
 
@@ -253,7 +276,7 @@ def test_dual_excluded_eta(capsys, tmp_path, gf49):
 def test_dual_closed_form_needs_datum(capsys, tmp_path, gf49):
     code = LinearCode(gf49, Matrix(gf49, [[1, 0], [0, 1]]))
     rc, _, err = run(capsys, "dual", write_code(tmp_path, code),
-                     "--mode", "thm2")
+                     "--mode", "group-closed-form")
     assert rc == 2
 
 
@@ -345,7 +368,7 @@ def test_reference_command(capsys):
 
 
 def test_reference_eta_index(capsys):
-    rc, out, _ = run(capsys, "table1", "--eta-index", "0")
+    rc, out, _ = run(capsys, "reference", "--eta-index", "0")
     assert rc == 0
 
 
@@ -399,28 +422,51 @@ def test_field_invariant_failure_exits_3(capsys, monkeypatch):
 
     monkeypatch.setattr(cli, "quadratic_extension", corrupt)
     rc, out, err = run(capsys, "construct", "--class", "I", "--q", "7",
-                       "--n", "6", "--al", "0", "--auto")
+                       "--n", "6", "--al", "0")
     assert rc == 3 and out == ""
     assert json.loads(err) == {"error": "InvariantError", "message":
                                "expected 7 distinct subfield elements"}
 
 
-def test_bad_arguments_exit_2(capsys, tmp_path):
+def test_bad_arguments_exit_2(capsys, tmp_path, gf49):
+    w = gf49.generator
+    alpha = [gf49.pow(w, 6 * i) for i in range(8)]
+    datum = write_params(tmp_path, plus_gtrs(gf49, alpha, [1] * 8, w, 3))
     for argv in (("construct", "--class", "I", "--q", "7", "--n", "6",
                   "--al", "0", "--x", "a,b,c,d,e,f"),
                  ("reference", "--eta-index", "99"),
                  ("reference", "--eta-index", "1"),
                  ("verify", str(tmp_path)),
+                 # open() refuses a path with a NUL byte by ValueError
+                 ("classify", "datum\x00.json"),
                  # argparse refusals: a bad int, a bad choice, a missing
                  # command
                  ("classify", str(tmp_path / "f"), "--cap", "abc"),
                  ("sweep", "--q", "3", "--format", "xml"),
                  ("construct", "--class", "III", "--q", "7", "--n", "6",
                   "--al", "0"),
+                 # removed second spellings of canonical commands
+                 ("construct", "--class", "I", "--q", "7", "--n", "6",
+                  "--al", "0", "--auto"),
+                 ("dual", datum, "--mode", "thm2"),
+                 ("dual", datum, "--mode", "lemma3"),
+                 ("table1",),
                  ()):
         rc, out, err = run(capsys, *argv)
         assert rc == 2 and out == ""
         assert "error" in json.loads(err)
+
+
+def test_sweep_large_prime_q_exits_2():
+    # q = 100000007 is prime: refused at the field cap, not after a scan of
+    # every p <= q
+    src = os.path.dirname(os.path.dirname(gtrscodes.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "gtrscodes.cli", "sweep", "--q", "100000007"],
+        capture_output=True, text=True, timeout=30,
+        env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert json.loads(proc.stderr)["error"] == "FieldError"
 
 
 def test_cap_zero_is_rejected(capsys, tmp_path, gf7):
@@ -428,3 +474,137 @@ def test_cap_zero_is_rejected(capsys, tmp_path, gf7):
     rc, _, err = run(capsys, "classify", path, "--cap", "0")
     assert rc == 2
     assert json.loads(err)["message"] == "caps must be positive"
+
+
+# ---------------------------------------------------------------------------
+# fuzz: argv and input documents
+# ---------------------------------------------------------------------------
+
+def _fuzz_docs():
+    """Valid inputs to mutate: single-twist data over GF(4), GF(9) (on a
+    subgroup, so the closed-form duals apply) and GF(49), and a raw
+    generator over GF(25)."""
+    f4, f9, f25, f49 = (field_q2(q) for q in (2, 3, 5, 7))
+    w = f9.generator
+    res = construct_class1(f49, 1, f49.subfield_elements()[:6])
+    raw = LinearCode(f25, Matrix(f25, [[1, 0, 3, 7], [0, 1, 12, 2]]))
+    return (plus_gtrs(f4, [1, 2, 3], [1, 1, 1], 1, 1).to_dict(),
+            plus_gtrs(f9, [f9.pow(w, 2 * i) for i in range(4)], [1, 2, 3, 4],
+                      w, 2).to_dict(),
+            res.params(res.eta_list[0][0]).to_dict(),
+            raw.to_dict())
+
+
+FUZZ_DOCS = _fuzz_docs()
+FUZZ_QS = ("2", "3", "4", "5", "7")
+JUNK = ("", "0", "-1", "9", "abc", "1.5", "--", "--nope", "-x", "\x00",
+        "100000007", "--auto", "thm2", "lemma3", "table1")
+JUNK_JSON = (None, True, "7", 1.5, [], {}, [[]], [1, 2], -1, 10 ** 6)
+
+
+def _nodes(doc, path=()):
+    """Paths to every key and list entry of a JSON document."""
+    items = (doc.items() if isinstance(doc, dict)
+             else enumerate(doc) if isinstance(doc, list) else ())
+    for key, value in items:
+        yield path + (key,)
+        yield from _nodes(value, path + (key,))
+
+
+@st.composite
+def _documents(draw):
+    doc = copy.deepcopy(draw(st.sampled_from(FUZZ_DOCS)))
+    for _ in range(draw(st.sampled_from((0, 0, 1, 2, 3)))):
+        paths = list(_nodes(doc))
+        if not paths:
+            break
+        *parent, key = draw(st.sampled_from(paths))
+        node = doc
+        for p in parent:
+            node = node[p]
+        action = draw(st.sampled_from(("drop", "type", "int", "n", "k")))
+        if action == "drop":
+            del node[key]
+        elif action == "type":
+            node[key] = draw(st.sampled_from(JUNK_JSON))
+        elif action == "int":
+            # out-of-range coefficients, characteristics, degrees, twists
+            node[key] = draw(st.integers(-3, 60))
+        else:
+            doc[action] = draw(st.integers(-1, 9))
+    # one document in four is not a JSON object at all
+    return draw(st.sampled_from((doc,) * 9 + ([doc], "doc", 7)))
+
+
+def _ints(lo, hi):
+    return st.integers(lo, hi).map(str)
+
+
+def _pieces(file, out):
+    """Per subcommand, the argv pieces it requires and those it may take,
+    each option with a value drawn from its real range, and the removed
+    spellings among the optional ones."""
+    out = st.just(("--out", out))
+    q = st.sampled_from(FUZZ_QS)
+
+    def opt(name, values):
+        return st.tuples(st.just(name), values)
+
+    return {
+        "construct": (
+            (opt("--class", st.sampled_from(("I", "II"))), opt("--q", q),
+             opt("--n", _ints(0, 8)), opt("--al", _ints(-1, 8))),
+            (opt("--m", _ints(-1, 8)), st.just(("--auto",)), out,
+             opt("--x", st.lists(_ints(-1, 9), max_size=8).map(",".join)))),
+        "verify": ((file,), (out,)),
+        "classify": ((file,), (opt("--cap", _ints(-1, 3000)), out)),
+        "dual": ((file,), (out, opt("--mode", st.sampled_from((
+            "euclidean", "hermitian", "group-closed-form", "plus-closed-form",
+            "thm2", "lemma3"))))),
+        "sweep": (
+            (st.lists(q, min_size=1, max_size=2).map(lambda qs: ("--q", *qs)),),
+            (st.lists(_ints(-2, 8), max_size=3).map(lambda ns: ("--n", *ns)),
+             opt("--class", st.sampled_from(("I", "II", "both"))),
+             opt("--format", st.sampled_from(("json", "csv"))), out)),
+        "reference": ((), (opt("--eta-index", _ints(-1, 2)),)),
+        "table1": ((), ()),
+    }
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_cli_fuzz_exit_codes_and_errors(fuzz_dir, data):
+    doc_path = fuzz_dir / "doc.json"
+
+    def write(doc):
+        doc_path.write_text(json.dumps(doc))
+        return (str(doc_path),)
+
+    # one file in five is missing or a directory
+    file = st.integers(0, 4).flatmap(lambda i: st.sampled_from(
+        ((str(fuzz_dir / "missing.json"),), (str(fuzz_dir),))) if i == 0
+        else _documents().map(write))
+    pieces = _pieces(file, str(fuzz_dir / "out.txt"))
+    command = data.draw(st.sampled_from(sorted(pieces)), label="command")
+    required, optional = pieces[command]
+    # each required piece is dropped one time in eight
+    parts = [data.draw(piece) for piece in required
+             if data.draw(st.integers(0, 7))]
+    parts += data.draw(st.lists(st.one_of(
+        *optional, st.sampled_from(JUNK).map(lambda t: (t,))),
+        max_size=3), label="extra")
+    parts = data.draw(st.permutations(parts), label="parts")
+    argv = [command] + [token for part in parts for token in part]
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        rc = main(argv)
+    event(f"{command} exit {rc}")
+    assert rc in (0, 1, 2, 3)
+    if rc >= 2:
+        assert stdout.getvalue() == ""
+        assert sorted(json.loads(stderr.getvalue())) == ["error", "message"]

@@ -4,6 +4,7 @@ import random
 import sys
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from gtrscodes import (
     CodeError,
@@ -27,7 +28,7 @@ def naive_min_distance(code):
     """Plain itertools enumeration of every nonzero message."""
     f = code.field
     best = code.n
-    for msg in itertools.product(f.elements(), repeat=code.k):
+    for msg in itertools.product(range(f.order), repeat=code.k):
         if not any(msg):
             continue
         word = [0] * code.n
@@ -81,6 +82,25 @@ def test_dual_euclidean_random_gram(gf49):
         assert d.k == 3
         assert c.gen.mul(d.gen.transpose()).is_zero()
         assert d.dual_euclidean().equals(c)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_double_dual_is_the_code(data):
+    f = field_q2(data.draw(st.sampled_from([2, 3, 7]), label="q"))
+    n = data.draw(st.integers(1, 7), label="n")
+    k = data.draw(st.integers(0, n), label="k")
+    row = st.lists(st.integers(0, f.order - 1), min_size=n, max_size=n)
+    gen = Matrix(f, data.draw(st.lists(row, min_size=k, max_size=k)), cols=n)
+    assume(gen.rank() == k)
+    c = LinearCode(f, gen)
+    for dual, form in ((LinearCode.dual_euclidean, Matrix.transpose),
+                       (LinearCode.dual_hermitian, Matrix.conj_transpose)):
+        d = dual(c)
+        assert d.k == n - k
+        if 0 < k < n:
+            assert c.gen.mul(form(d.gen)).is_zero()
+        assert dual(d).equals(c)
 
 
 def test_dual_hermitian(gf49, gf7):
@@ -222,7 +242,7 @@ def test_classify_cap_counts_subsets(gf49):
         c.classify(cap=49)
     assert c.classify(cap=50) in {"MDS", "NMDS", "AMDS", "other"}
     with pytest.raises(CodeError):
-        LinearCode.trivial(gf49, 3).classify()
+        LinearCode(gf49, Matrix(gf49, [], cols=3)).classify()
 
 
 def test_codes_equal_and_errors(gf7, gf9):

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 import gtrscodes
 from gtrscodes import FieldError, GaloisField
-from gtrscodes.field import TABLE_CAP
+from gtrscodes.field import TABLE_CAP, _prime_power
 
 from conftest import field_q2
 
@@ -81,12 +81,12 @@ def test_exp_log_roundtrip_and_unit_group(p, m):
 
 def test_field_axioms_exhaustive_gf9():
     f = GaloisField(3, 2)
-    for x in f.elements():
-        for y in f.elements():
+    for x in range(f.order):
+        for y in range(f.order):
             assert f.add(x, y) == f.add(y, x)
             assert f.mul(x, y) == f.mul(y, x)
             assert f.sub(f.add(x, y), y) == x
-            for z in f.elements():
+            for z in range(f.order):
                 lhs = f.mul(x, f.add(y, z))
                 assert lhs == f.add(f.mul(x, y), f.mul(x, z))
 
@@ -94,8 +94,8 @@ def test_field_axioms_exhaustive_gf9():
 @pytest.mark.parametrize("q", [2, 3, 5, 7, 11, 13])
 def test_frobenius_is_automorphism(q):
     f = field_q2(q)
-    for x in f.elements():
-        for y in f.elements():
+    for x in range(f.order):
+        for y in range(f.order):
             assert f.frobenius(f.add(x, y)) == f.add(f.frobenius(x), f.frobenius(y))
             assert f.frobenius(f.mul(x, y)) == f.mul(f.frobenius(x), f.frobenius(y))
 
@@ -106,7 +106,7 @@ def test_frobenius_basics(gf49):
     assert gf49.frobenius(w) == gf49.pow(w, 7)
     for x in gf49.subfield_elements():
         assert gf49.frobenius(x) == x
-    for x in gf49.elements():
+    for x in range(gf49.order):
         assert gf49.frobenius(gf49.frobenius(x)) == x
     plain = GaloisField(7, 3)
     with pytest.raises(FieldError):
@@ -116,7 +116,7 @@ def test_frobenius_basics(gf49):
 @pytest.mark.parametrize("q", [2, 3, 5, 7, 9])
 def test_norm_trace_land_in_subfield(q):
     f = field_q2(q)
-    for x in f.elements():
+    for x in range(f.order):
         for val in (f.norm(x), f.trace(x)):
             assert f.frobenius(val) == val
     assert f.norm(0) == 0 and f.trace(0) == 0
@@ -164,7 +164,7 @@ def test_subfield_elements(q):
     f = field_q2(q)
     sub = f.subfield_elements()
     # oracle: scan for x^q = x
-    assert set(sub) == {x for x in f.elements() if f.pow(x, q) == x or x == 0}
+    assert set(sub) == {x for x in range(f.order) if f.pow(x, q) == x or x == 0}
     assert len(sub) == q
     assert sub[0] == 0
     for x in sub:
@@ -185,7 +185,7 @@ def test_poly_roots(gf49):
     gf4 = field_q2(2)
     roots = gf4.poly_roots([1, 1, 1])
     assert len(roots) == 2 and 0 not in roots
-    assert roots == {x for x in gf4.elements()
+    assert roots == {x for x in range(gf4.order)
                      if gf4.add(gf4.add(gf4.mul(x, x), x), 1) == 0}
     # zeta^7 + zeta^6 + 1 has exactly 7 distinct nonzero roots in GF(49)
     coeffs = [1, 0, 0, 0, 0, 0, 1, 1]
@@ -316,3 +316,17 @@ def test_default_generator_is_the_smallest_full_order_element(p, m):
               range(1, f.generator + 1)]
     assert orders[-1] == f.order - 1
     assert all(o < f.order - 1 for o in orders[:-1])
+
+
+def test_prime_power_against_a_table():
+    # oracle: every prime power below 5000, built upwards from the primes
+    primes = [p for p in range(2, 5000)
+              if all(p % d for d in range(2, int(p ** 0.5) + 1))]
+    table = {p ** s: (p, s) for p in primes
+             for s in range(1, 13) if p ** s < 5000}
+    for q in range(-3, 5000):
+        if q in table:
+            assert _prime_power(q) == table[q]
+        else:
+            with pytest.raises(FieldError, match=f"^{q} is not a prime power$"):
+                _prime_power(q)

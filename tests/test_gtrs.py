@@ -2,6 +2,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, reject, settings, strategies as st
 
 from gtrscodes import (
     GTRSError,
@@ -274,6 +275,20 @@ def test_is_mds_plus_reference_values(gf49):
         assert (not is_mds_plus(gf49, pts, e, 3)) == attained
 
 
+def test_is_mds_plus_caps_the_subset_count(gf49, monkeypatch):
+    import gtrscodes.gtrs as gtrs_module
+    # n = 30 > 28, but C(30, 1) = 30 subsets: NMDS when -1/eta is a
+    # locator (-1/5 = 4), MDS when it is not (40)
+    assert not is_mds_plus(gf49, range(1, 31), 5, 1)
+    assert is_mds_plus(gf49, range(1, 31), gf49.neg(gf49.inv(40)), 1)
+    scanned = []
+    monkeypatch.setattr(gtrs_module, "alpha_sum",
+                        lambda *args: scanned.append(args))
+    with pytest.raises(GTRSError, match="exceed the cap"):
+        is_mds_plus(gf49, range(28), 1, 14)     # C(28, 14) > 2^24
+    assert scanned == []
+
+
 def test_mds_dichotomy_exhaustive_small():
     # every (+)-GTRS over GF(9) with subfield locators is MDS or NMDS, and
     # the subset criterion matches the exhaustive distance
@@ -302,3 +317,32 @@ def test_params_serialization_roundtrip(gf49):
     back = GTRSParams.from_dict(params.to_dict())
     assert back == params
     assert back.field == gf49
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_closed_form_duals_equal_kernel_dual(data):
+    f = field_q2(data.draw(st.sampled_from([3, 5, 7]), label="q"))
+    n = data.draw(st.sampled_from([d for d in range(2, 13)
+                                   if (f.order - 1) % d == 0 and d % f.p]),
+                  label="n")
+    k = data.draw(st.integers(1, n - 1), label="k")
+    nonzero = st.integers(1, f.order - 1)
+    v = data.draw(st.lists(nonzero, min_size=n, max_size=n), label="v")
+    if data.draw(st.booleans(), label="single twist"):
+        twist = TwistSpec(k, n, (1,), (k - 1,), (data.draw(nonzero),))
+    else:
+        ell = data.draw(st.integers(1, min(n - k, k)), label="ell")
+        t = data.draw(st.permutations(range(1, n - k + 1)), label="t")[:ell]
+        h = data.draw(st.permutations(range(k)), label="h")[:ell]
+        eta = data.draw(st.lists(nonzero, min_size=ell, max_size=ell))
+        twist = TwistSpec(k, n, t, h, eta)
+    params = GTRSParams(f, subgroup(f, n), v, twist)
+    try:
+        kernel = code(params).dual_euclidean()
+    except GTRSError:
+        reject()        # degenerate twist: generator rank below k
+    assert code(dual_params(params)).equals(kernel)
+    if twist.is_plus():
+        # subgroup locators sum to 0, so 1 + a*eta = 1 is never excluded
+        assert code(plus_dual_euclidean(params)).equals(kernel)

@@ -110,3 +110,42 @@ def test_no_unused_private_functions_in_package():
     sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
     assert sources
     assert unused_private_functions(sources) == []
+
+
+def unread_options(source: str) -> list[str]:
+    """Arguments that `build_parser` declares with `add_argument` but whose
+    dest the module never reads as `args.<dest>`."""
+    tree = ast.parse(source)
+    read = {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name) and node.value.id == "args"}
+    parser = next(node for node in tree.body
+                  if isinstance(node, ast.FunctionDef)
+                  and node.name == "build_parser")
+    unread = []
+    for node in ast.walk(parser):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "add_argument"):
+            name = node.args[0].value
+            dest = next((kw.value.value for kw in node.keywords
+                         if kw.arg == "dest"),
+                        name.lstrip("-").replace("-", "_"))
+            if dest not in read:
+                unread.append(f"{name} (line {node.lineno})")
+    return sorted(unread)
+
+
+def test_unread_option_is_detected():
+    src = ("def build_parser():\n"
+           "    p.add_argument('file')\n"
+           "    p.add_argument('--class', dest='cls')\n"
+           "    p.add_argument('--eta-index', type=int)\n"
+           "    p.add_argument('--auto', action='store_true')\n"
+           "    p.add_argument('--out')\n"
+           "def cmd(args, opts):\n"
+           "    return args.file, args.cls, args.eta_index, opts.auto, 'args.out'\n")
+    assert unread_options(src) == ["--auto (line 5)", "--out (line 6)"]
+
+
+def test_every_cli_option_is_read():
+    assert unread_options((SRC / "cli.py").read_text()) == []
