@@ -86,11 +86,17 @@ def _check_shape(obj: dict, shape: dict, where: str = "") -> None:
 
 def _load_input(path: str) -> tuple[GTRSParams | None, LinearCode | None]:
     """A file holds either a full twisted-code datum or a raw generator.  The
-    shape of the document is checked here, before any constructor reads it.
+    shape of the document is checked here, before any constructor reads it;
+    an integer past the digit limit or nesting past the stack is refused.
     A datum gives (params, None), and commands that need its code call
     `code(params)`; a raw generator gives (None, code)."""
     with open(path) as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except (ValueError, RecursionError) as exc:
+            if isinstance(exc, (json.JSONDecodeError, UnicodeDecodeError)):
+                raise
+            raise UsageError(f"malformed input: {exc}") from None
     if not isinstance(data, dict):
         raise UsageError("input must be a JSON object")
     _check_shape(data, {"field": lambda x: isinstance(x, dict)})

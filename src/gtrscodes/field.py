@@ -27,18 +27,26 @@ class InvariantError(RuntimeError):
     its input."""
 
 
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIME_BOUND = 3317044064679887385961981
+
+
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    """Miller-Rabin on the 13 primes up to 41, exact below _PRIME_BOUND
+    (Sorenson and Webster, "Strong pseudoprimes to twelve prime bases",
+    2017).  Past the bound, far beyond any field that can be built, it
+    refuses to decide."""
+    if n >= _PRIME_BOUND:
+        raise FieldError(f"a {n.bit_length()}-bit integer is past the exact "
+                         f"primality bound {_PRIME_BOUND}")
+    if n < 2 or n % 2 == 0 or n in _PRIME_BASES:
+        return n in _PRIME_BASES
+    r = ((n - 1) & (1 - n)).bit_length() - 1     # n - 1 = d * 2^r, d odd
+    d = (n - 1) >> r
+    for b in _PRIME_BASES:
+        x = pow(b, d, n)
+        if x != 1 and all(pow(x, 1 << i, n) != n - 1 for i in range(r)):
             return False
-        f += 2
     return True
 
 
@@ -168,6 +176,9 @@ class GaloisField:
             raise FieldError("extension degree must be >= 1")
         self.p = p
         self.m = m
+        # p^m >= 2^m: a huge m is refused before p^m is built or formatted
+        if m > MAX_ORDER.bit_length():
+            raise FieldError(f"field size {p}^{m} exceeds cap {MAX_ORDER}")
         self.order = p ** m
         if self.order > MAX_ORDER:
             raise FieldError(f"field size {self.order} exceeds cap {MAX_ORDER}")
@@ -473,20 +484,28 @@ def poly_eval(field: GaloisField, coeffs: Sequence[int], x: int) -> int:
 
 def quadratic_extension(q: int) -> GaloisField:
     """GF(q^2) for a prime power q, with default modulus and generator."""
+    if q > isqrt(MAX_ORDER):
+        raise FieldError(f"field size {q}^2 exceeds cap {MAX_ORDER}")
     p, s = _prime_power(q)
     return GaloisField(p, 2 * s)
 
 
+def _iroot(n: int, s: int) -> int:
+    """floor(n ** (1/s)) for n >= 1, by Newton's method from above."""
+    x = 1 << -(-n.bit_length() // s)
+    while (y := ((s - 1) * x + n // x ** (s - 1)) // s) < x:
+        x = y
+    return x
+
+
 def _prime_power(q: int) -> tuple[int, int]:
-    """(p, s) with q = p^s.  The smallest divisor > 1 of q is prime, and
-    trial division finds it by sqrt(q)."""
-    if q < 2:
-        raise FieldError(f"{q} is not a prime power")
-    p = next((d for d in range(2, isqrt(q) + 1) if q % d == 0), q)
-    s, t = 0, q
-    while t % p == 0:
-        t //= p
-        s += 1
-    if t != 1:
-        raise FieldError(f"{q} is not a prime power")
-    return p, s
+    """(p, s) with q = p^s.  The exact s-th root of q for the largest such
+    s is no perfect power, so q is a prime power iff that root is prime."""
+    if q >= 2:
+        for s in range(q.bit_length(), 0, -1):
+            p = _iroot(q, s)
+            if p ** s == q:
+                if is_prime(p):
+                    return p, s
+                break
+    raise FieldError(f"{q} is not a prime power")

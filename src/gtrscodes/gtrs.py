@@ -151,26 +151,22 @@ def encode(params: GTRSParams, f) -> list[int]:
 
 
 def generator_matrix(params: GTRSParams) -> Matrix:
-    """k x n generator whose rows encode the standard basis; raises on the
-    degenerate twist configurations where the rank drops below k."""
+    """k x n generator whose rows encode the standard basis: row i is
+    v * alpha^i, plus v * eta * alpha^(k-1+t) for each twist hooked on i.
+    Raises when the rank drops below k, as on repeated locators."""
     field = params.field
-    n, k = params.n, params.k
+    mul, add = field.mul, field.add
+    k, tw = params.k, params.twist
     # alpha-power table up to the largest twisted degree
-    powers = [[1] * n]
-    for _ in range(n - 1):
-        powers.append([field.mul(p, a) for p, a in zip(powers[-1], params.alpha)])
-    rows = []
-    for i in range(k):
-        f = [0] * k
-        f[i] = 1
-        full = expand_twisted(field, params.twist, f)
-        row = [0] * n
-        for d, c in enumerate(full):
-            if c:
-                pd = powers[d]
-                row = [field.add(r, field.mul(c, pd[j])) for j, r in enumerate(row)]
-        rows.append([field.mul(vj, x) for vj, x in zip(params.v, row)])
-    mat = Matrix(field, rows, cols=n)
+    powers = [[1] * params.n]
+    for _ in range(k - 1 + max(tw.t)):
+        powers.append([mul(p, a) for p, a in zip(powers[-1], params.alpha)])
+    rows = powers[:k]
+    for t, h, e in zip(tw.t, tw.h, tw.eta):
+        rows[h] = [add(x, mul(e, y))
+                   for x, y in zip(rows[h], powers[k - 1 + t])]
+    mat = Matrix(field, [[mul(vj, x) for vj, x in zip(params.v, row)]
+                         for row in rows], cols=params.n)
     if mat.rank() != k:
         raise GTRSError("degenerate twist configuration: generator rank below k")
     return mat
@@ -201,28 +197,12 @@ def systematic_generator(params: GTRSParams) -> Matrix:
     return il.mul(v).mul(Matrix.diagonal(field, params.v))
 
 
-def _require_subgroup(params: GTRSParams):
-    if not is_multiplicative_subgroup(params.field, params.alpha):
-        raise GTRSError("locators must form a multiplicative subgroup")
-    if params.n % params.field.p == 0:
-        raise GTRSError("length divisible by the characteristic")
-
-
 def dual_parity_matrix(params: GTRSParams) -> Matrix:
-    """(n-k) x n parity-check matrix
-    [I | J_{n-k} (-L^T) J_k] V_n(alpha) diag(alpha / n) diag(v)^{-1},
-    valid when the locators form a multiplicative subgroup."""
-    _require_subgroup(params)
-    field = params.field
-    n, k = params.n, params.k
-    lt = l_matrix(field, params.twist).transpose().scale_rows(field.neg(1))
-    block = Matrix.reversal(field, n - k).mul(lt).mul(Matrix.reversal(field, k))
-    left = Matrix.identity(field, n - k).hstack(block)
-    inv_n = field.inv(field.scalar(n))
-    d = Matrix.diagonal(field, [field.mul(a, inv_n) for a in params.alpha])
-    vinv = Matrix.diagonal(field, [field.inv(x) for x in params.v])
-    h = left.mul(Matrix.vandermonde(field, params.alpha, n)).mul(d).mul(vinv)
-    if h.rank() != n - k:
+    """(n-k) x n parity-check matrix for multiplicative-subgroup locators:
+    the systematic generator of `dual_params(params)`, which is
+    [I | J_{n-k} (-L^T) J_k] V_n(alpha) diag(alpha / n) diag(v)^{-1}."""
+    h = systematic_generator(dual_params(params))
+    if h.rank() != params.n - params.k:
         raise InvariantError("closed-form parity matrix is rank deficient")
     return h
 
@@ -232,9 +212,12 @@ def dual_params(params: GTRSParams) -> GTRSParams:
     n-k, same locators, twist map (t, h, eta) -> (k - h, n - k - t, -eta),
     multipliers (alpha_i / n) v_i^{-1}.  The resulting code equals the
     Euclidean dual exactly, not merely up to equivalence."""
-    _require_subgroup(params)
     field = params.field
     n, k = params.n, params.k
+    if not is_multiplicative_subgroup(field, params.alpha):
+        raise GTRSError("locators must form a multiplicative subgroup")
+    if n % field.p == 0:
+        raise GTRSError("length divisible by the characteristic")
     tw = params.twist
     new_t = tuple(k - h for h in tw.h)
     new_h = tuple(n - k - t for t in tw.t)
@@ -272,15 +255,11 @@ def alpha_sum(field: GaloisField, alpha) -> int:
     return acc
 
 
-def _require_plus(params: GTRSParams):
-    if not params.twist.is_plus():
-        raise GTRSError("operation requires the single-twist (1, k-1) family")
-
-
 def plus_dual_euclidean(params: GTRSParams) -> GTRSParams:
     """Closed-form Euclidean dual of a single-twist code: dimension n-k,
     multipliers u_i v_i^{-1}, twist coefficient -eta / (1 + a*eta)."""
-    _require_plus(params)
+    if not params.twist.is_plus():
+        raise GTRSError("operation requires the single-twist (1, k-1) family")
     field = params.field
     eta = params.twist.eta[0]
     a = alpha_sum(field, params.alpha)

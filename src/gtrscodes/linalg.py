@@ -104,11 +104,6 @@ class Matrix:
     def conj_transpose(self) -> "Matrix":
         return frobenius_image(self).transpose()
 
-    def scale_rows(self, c: int) -> "Matrix":
-        mul = self.field.mul
-        return Matrix(self.field, [[mul(c, x) for x in row] for row in self.data],
-                      cols=self.cols)
-
     def hstack(self, other: "Matrix") -> "Matrix":
         self._same_field(other)
         if self.rows != other.rows:

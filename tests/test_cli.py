@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import event, given, settings, strategies as st
@@ -467,6 +468,54 @@ def test_sweep_large_prime_q_exits_2():
         env={**os.environ, "PYTHONPATH": src})
     assert proc.returncode == 2 and proc.stdout == ""
     assert json.loads(proc.stderr)["error"] == "FieldError"
+
+
+M61 = 2 ** 61 - 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("sweep", "--q", str(M61)),
+    ("sweep", "--q", str(2 ** 127 - 1)),
+    ("sweep", "--q", str((2 ** 31 - 1) * M61)),
+    ("classify", "{m61}")])
+def test_large_primes_exit_2(tmp_path, argv):
+    # no trial division up to the square root of these
+    path = tmp_path / "m61.json"
+    path.write_text(json.dumps({"field": {"p": M61, "m": 1}, "n": 2, "k": 1,
+                                "generator": [[[1], [2]]]}))
+    src = os.path.dirname(os.path.dirname(gtrscodes.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "gtrscodes.cli",
+         *(a.format(m61=path) for a in argv)],
+        capture_output=True, text=True, timeout=30,
+        env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert json.loads(proc.stderr)["error"] == "FieldError"
+
+
+@pytest.mark.parametrize("m", [20000, 10 ** 9])
+def test_huge_extension_degree_exits_2_fast(capsys, tmp_path, m):
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"field": {"p": 2, "m": m}, "n": 2, "k": 1,
+                                "generator": [[[1], [0]]]}))
+    start = time.perf_counter()
+    rc, out, err = run(capsys, "classify", str(path))
+    assert time.perf_counter() - start < 1
+    assert rc == 2 and out == ""
+    assert json.loads(err)["error"] == "FieldError"
+
+
+@pytest.mark.parametrize("text", [
+    '{"field": {"p": 1' + "0" * 4999 + ', "m": 1}}',
+    "[" * 100000 + "]" * 100000], ids=["long_integer", "deep_nesting"])
+def test_json_that_json_load_refuses_exits_2(capsys, tmp_path, text):
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    rc, out, err = run(capsys, "classify", str(path))
+    assert rc == 2 and out == ""
+    reply = json.loads(err)
+    assert reply["error"] == "UsageError"
+    assert reply["message"].startswith("malformed input: ")
 
 
 def test_cap_zero_is_rejected(capsys, tmp_path, gf7):

@@ -1,5 +1,6 @@
 import functools
 import os
+import re
 import subprocess
 import sys
 
@@ -9,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 import gtrscodes
 from gtrscodes import FieldError, GaloisField
-from gtrscodes.field import TABLE_CAP, _prime_power
+from gtrscodes.field import TABLE_CAP, _PRIME_BOUND, _prime_power, is_prime
 
 from conftest import field_q2
 
@@ -330,3 +331,36 @@ def test_prime_power_against_a_table():
         else:
             with pytest.raises(FieldError, match=f"^{q} is not a prime power$"):
                 _prime_power(q)
+
+
+def test_is_prime_against_trial_division():
+    for n in range(-3, 10 ** 5):
+        assert is_prime(n) == (n > 1 and all(n % d for d in
+                                             range(2, int(n ** 0.5) + 1)))
+    # strong pseudoprimes to the first 4 and the first 9 prime bases
+    assert not is_prime(3215031751)
+    assert not is_prime(3825123056546413051)
+    assert is_prime(2 ** 61 - 1) and is_prime(2 ** 79 - 67)
+    with pytest.raises(FieldError, match="past the exact primality bound"):
+        is_prime(_PRIME_BOUND)
+
+
+def test_prime_power_of_large_numbers():
+    m61 = 2 ** 61 - 1
+    assert _prime_power(2 ** 100) == (2, 100)
+    assert _prime_power(m61 ** 3) == (m61, 3)
+    assert _prime_power(m61) == (m61, 1)
+    with pytest.raises(FieldError, match="is not a prime power"):
+        _prime_power(3 * (2 ** 31 - 1) ** 2)
+    with pytest.raises(FieldError, match="primality bound"):
+        _prime_power((2 ** 31 - 1) * m61)
+
+
+@pytest.mark.parametrize("p,m,message", [
+    (3, 11, "field size 177147 exceeds cap 65536"),
+    (2, 20000, "field size 2^20000 exceeds cap 65536"),
+    (2, 10 ** 9, "field size 2^1000000000 exceeds cap 65536"),
+    (2 ** 61 - 1, 1, "field size 2305843009213693951 exceeds cap 65536")])
+def test_oversize_field_messages(p, m, message):
+    with pytest.raises(FieldError, match=f"^{re.escape(message)}$"):
+        GaloisField(p, m)

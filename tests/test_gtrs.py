@@ -121,6 +121,15 @@ def test_generator_matrix_full_rank_random():
         assert generator_matrix(params).rank() == k
 
 
+def test_generator_matrix_rank_guard(gf9):
+    # the constructor refuses repeated locators; past it, the rank guard
+    # still does
+    params = plus_gtrs(gf9, [1, 2, 3, 4], [1] * 4, 5, 2)
+    object.__setattr__(params, "alpha", (1, 1, 1, 1))
+    with pytest.raises(GTRSError, match="rank below k"):
+        generator_matrix(params)
+
+
 def test_l_matrix(gf7):
     tw = TwistSpec(3, 6, [1], [2], [5])
     lm = l_matrix(gf7, tw)
@@ -142,6 +151,54 @@ def test_systematic_generator_row_space(gf49):
             a = LinearCode(gf49, sysg)
             b = code(params)
             assert a.equals(b)
+
+
+def flipped_block(params):
+    """J_{n-k} (-L^T) J_k, from the L block of params."""
+    f, n, k = params.field, params.n, params.k
+    lt = l_matrix(f, params.twist).transpose()
+    neg_lt = Matrix(f, [[f.neg(x) for x in row] for row in lt.data], cols=k)
+    return Matrix.reversal(f, n - k).mul(neg_lt).mul(Matrix.reversal(f, k))
+
+
+def parity_formula(params):
+    """[I | J_{n-k} (-L^T) J_k] V_n(alpha) diag(alpha / n) diag(v)^{-1},
+    written out: the oracle for dual_parity_matrix."""
+    f, n, k = params.field, params.n, params.k
+    inv_n = f.inv(f.scalar(n))
+    return (Matrix.identity(f, n - k).hstack(flipped_block(params))
+            .mul(Matrix.vandermonde(f, params.alpha, n))
+            .mul(Matrix.diagonal(f, [f.mul(a, inv_n) for a in params.alpha]))
+            .mul(Matrix.diagonal(f, [f.inv(x) for x in params.v])))
+
+
+@pytest.mark.parametrize("q,lengths", [(7, (2, 3, 4, 6, 8, 12, 16, 24)),
+                                       (4, (3, 5, 15))])
+def test_structured_forms_match_entrywise(q, lengths):
+    # subgroup data over GF(49) and GF(16): the generator equals [I | L] V
+    # diag(v), the parity matrix equals the written-out formula, and the
+    # dual datum's L block is J (-L^T) J
+    f = field_q2(q)
+    rng = random.Random(41 + q)
+    for n in lengths:
+        for _ in range(6):
+            k = rng.randint(1, n - 1)
+            params = random_subgroup_params(f, k, n, rng)
+            assert generator_matrix(params).data == systematic_generator(params).data
+            assert dual_parity_matrix(params).data == parity_formula(params).data
+            dual_l = l_matrix(f, dual_params(params).twist)
+            assert dual_l.data == flipped_block(params).data
+
+
+def test_generator_matches_systematic_form_on_any_locators(gf9):
+    rng = random.Random(43)
+    for _ in range(60):
+        n = rng.randint(2, 9)
+        k = rng.randint(1, n - 1)
+        alpha = rng.sample(range(gf9.order), n)
+        v = [rng.randrange(1, gf9.order) for _ in range(n)]
+        params = GTRSParams(gf9, alpha, v, random_twist(gf9, k, n, rng))
+        assert generator_matrix(params).data == systematic_generator(params).data
 
 
 def test_dual_parity_small_case(gf7):

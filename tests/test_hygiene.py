@@ -1,6 +1,7 @@
 """Source hygiene checks that need only the standard library."""
 
 import ast
+import re
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "gtrscodes"
@@ -149,3 +150,55 @@ def test_unread_option_is_detected():
 
 def test_every_cli_option_is_read():
     assert unread_options((SRC / "cli.py").read_text()) == []
+
+
+def unread_public_names(defining: dict[str, str],
+                        readers: dict[str, str]) -> list[str]:
+    """Public functions, classes and methods defined in `defining` (name ->
+    source) whose name appears in no source of `readers` except on a def or
+    class line of that name.  Matching is by word, so an export list, a
+    string or a comment counts as a reader."""
+    defined = []
+    for module, source in defining.items():
+        defined += [(node.name, module, node.lineno)
+                    for node in ast.walk(ast.parse(source))
+                    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                         ast.ClassDef))
+                    and not node.name.startswith("_")]
+    def_lines = {(module, line) for _, module, line in defined}
+    read = set()
+    for module, source in readers.items():
+        for line, text in enumerate(source.splitlines(), 1):
+            words = set(re.findall(r"\w+", text))
+            if (module, line) in def_lines:
+                words -= {name for name, m, n in defined
+                          if (m, n) == (module, line)}
+            read |= words
+    return sorted(f"{name} ({module} line {line})"
+                  for name, module, line in defined if name not in read)
+
+
+def test_unread_public_name_is_detected():
+    lib = ("class Matrix:\n"
+           "    def rank(self):\n        return 0\n"
+           "    def orphan(self, c):\n        return self\n"
+           "    def _private(self):\n        return 1\n"
+           "def exported():\n    return Matrix().rank()\n"
+           "def twin():\n    return 2\n")
+    other = "def twin():\n    return 3\n"
+    readers = {"lib.py": lib, "other.py": other,
+               "__init__.py": "__all__ = ['exported']\n"}
+    found = unread_public_names({"lib.py": lib, "other.py": other}, readers)
+    assert found == ["orphan (lib.py line 4)", "twin (lib.py line 10)",
+                     "twin (other.py line 1)"]
+
+
+def test_every_public_name_has_a_reader():
+    root = SRC.parent.parent
+    readers = {str(p.relative_to(root)): p.read_text()
+               for d in ("src", "tests", "perfbench")
+               for p in sorted((root / d).rglob("*.py"))}
+    defining = {name: source for name, source in readers.items()
+                if name.startswith("src/gtrscodes/")}
+    assert defining
+    assert unread_public_names(defining, readers) == []
