@@ -314,8 +314,9 @@ def build_parser() -> argparse.ArgumentParser:
     cla = sub.add_parser("classify", help="exact [n,k,d] and MDS/NMDS class")
     cla.add_argument("file")
     cla.add_argument("--cap", type=int, default=DEFAULT_DISTANCE_CAP,
-                     help="bound on codewords enumerated or column subsets "
-                          "ranked (default: 2^24)")
+                     help="bound on messages enumerated for an 'other' "
+                          "code's distance or column subsets ranked "
+                          "(default: 2^24)")
     cla.add_argument("--out")
     cla.set_defaults(func=cmd_classify)
 

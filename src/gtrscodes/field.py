@@ -11,11 +11,11 @@ lookup tables, and characteristic-2 addition is XOR of the encodings.
 
 from __future__ import annotations
 
-from math import gcd, isqrt
+from math import gcd, isqrt, log2
 from typing import Sequence
 
 MAX_ORDER = 1 << 16      # largest field constructed
-TABLE_CAP = 4096         # largest odd-p addition table; enumerator limit
+TABLE_CAP = 4096         # largest odd-p addition table; min_distance limit
 
 
 class FieldError(ValueError):
@@ -248,7 +248,7 @@ class GaloisField:
         characteristic 2 addition is XOR and above the cap it runs digit by
         digit, so no table is stored.  Scalar methods read the tables
         through memoryviews (Python ints out); np_tables hands the same
-        buffers to the codeword enumerator.
+        buffers to LinearCode.min_distance.
         """
         import numpy as np
         p, m, n1 = self.p, self.m, self.order - 1
@@ -435,11 +435,11 @@ class GaloisField:
         n1 = self.order - 1
         return [self.exp[j] for j in range(1, n1) if gcd(j, n1) == 1] if n1 > 1 else [1]
 
-    # -- numpy tables for the bulk codeword enumerator ------------------------
+    # -- numpy tables for LinearCode.min_distance -------------------------
 
     def np_tables(self):
         """(exp, log, add): numpy views of the field's own tables.  add is
-        None in characteristic 2, where the enumerator adds with XOR."""
+        None in characteristic 2, where min_distance adds with XOR."""
         if self.order > TABLE_CAP:
             raise FieldError(
                 f"vectorized tables unsupported above {TABLE_CAP} elements")
@@ -491,8 +491,25 @@ def quadratic_extension(q: int) -> GaloisField:
 
 
 def _iroot(n: int, s: int) -> int:
-    """floor(n ** (1/s)) for n >= 1, by Newton's method from above."""
-    x = 1 << -(-n.bit_length() // s)
+    """floor(n ** (1/s)) for n >= 1.
+
+    e = log2(n) / s comes from a float of n's leading 64 bits, good to
+    about e * 2^-51 + 2^-46.  A root below 2^30 is then the floor of 2^e
+    unless 2^e lies within 2^-8 of an integer, where one power decides.  A
+    larger root starts Newton's method from above, at 2^e raised past that
+    error, and converges in a few steps; from a power of two above the
+    root it would shrink only by a factor 1 - 1/s a step."""
+    shift = max(n.bit_length() - 64, 0)
+    e = (log2(n >> shift) + shift) / s
+    whole = int(e)
+    if whole < 30:
+        r = 2.0 ** e
+        c = round(r)
+        if abs(r - c) > 2.0 ** -8:
+            return int(r)
+        return c if c ** s <= n else c - 1
+    top = int(2.0 ** (e - whole + 52) * (1 + 2.0 ** -30 + e * 2.0 ** -48)) + 1
+    x = ((top << whole) >> 52) + 1
     while (y := ((s - 1) * x + n // x ** (s - 1)) // s) < x:
         x = y
     return x

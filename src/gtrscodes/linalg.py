@@ -177,22 +177,31 @@ def reduce_row(field: GaloisField, row: Sequence[int],
     return row
 
 
+def echelon_pair(field: GaloisField, row: Sequence[int],
+                 basis: Sequence[tuple[int, Sequence[int]]]):
+    """The (pivot, row) pair that row adds to an echelon basis: row reduced
+    against the basis and scaled to 1 at its first nonzero entry, its
+    pivot; None if row lies in the span."""
+    row = reduce_row(field, row, basis)
+    p = next((i for i, x in enumerate(row) if x), None)
+    if p is None:
+        return None
+    if row[p] != 1:
+        s = field.inv(row[p])
+        row = [field.mul(s, x) for x in row]
+    return p, row
+
+
 def echelon(field: GaloisField,
             rows: Sequence[Sequence[int]]) -> list[tuple[int, Sequence[int]]]:
     """An echelon basis of the row space as (pivot, row) pairs in insertion
-    order: each row is reduced against the pairs so far, dropped if zero,
-    and otherwise scaled to 1 at its first nonzero entry, its pivot.  A row
-    is zero at the pivots of the pairs before it; the rank is the length."""
+    order, each from echelon_pair against the pairs before it.  A row is
+    zero at the pivots of the pairs before it; the rank is the length."""
     basis = []
     for row in rows:
-        row = reduce_row(field, row, basis)
-        p = next((i for i, x in enumerate(row) if x), None)
-        if p is None:
-            continue
-        if row[p] != 1:
-            s = field.inv(row[p])
-            row = [field.mul(s, x) for x in row]
-        basis.append((p, row))
+        pair = echelon_pair(field, row, basis)
+        if pair is not None:
+            basis.append(pair)
     return basis
 
 

@@ -90,7 +90,8 @@ def _row_holds(field: GaloisField, omega: int, row: dict,
 
 def verify_reference_rows(eta_index: int | None = None) -> list[RowReport]:
     """Verify every bundled row over the default GF(49): self-duality plus
-    exact brute-force distance, under a searched primitive-element
+    exact minimum distance (`LinearCode.min_distance`, information-set
+    enumeration), under a searched primitive-element
     convention.  Rows whose data pin the convention (subfield-coded
     entries) must verify under some w with w^8 = 3.  An eta_index must
     exist in every row."""

@@ -17,7 +17,7 @@ from gtrscodes import (LinearCode, Matrix, alpha_sum, code, construct_class1,
                        quadratic_extension)
 from gtrscodes.cli import main
 
-from conftest import field_q2
+from conftest import field_q2, proportional_rows_code
 
 
 def run(capsys, *argv):
@@ -208,8 +208,23 @@ def test_classify_enumerates_only_other_codes(capsys, tmp_path, gf49,
     assert (doc["class"], doc["d"]) == ("other", 2)
     rc, out, _ = run(capsys, "classify", path, "--cap", "100")
     doc = json.loads(out)
+    assert rc == 0 and (doc["class"], doc["d"]) == ("other", 2)   # 2 messages
+    # [8,5]: the column scan ranks 154 subsets, but d = 2 shows only in the
+    # second layer, at 5 + 480 messages
+    path = write_code(tmp_path, proportional_rows_code(gf49))
+    rc, out, _ = run(capsys, "classify", path, "--cap", "200")
+    doc = json.loads(out)
     assert rc == 0 and (doc["class"], doc["d"]) == ("other", None)
     assert "note" in doc
+
+
+def test_classify_other_code_past_q_to_the_k(capsys, tmp_path, gf49):
+    # 49^5 > 2^24: full enumeration would refuse; information sets need 485
+    path = write_code(tmp_path, proportional_rows_code(gf49))
+    rc, out, _ = run(capsys, "classify", path)
+    doc = json.loads(out)
+    assert rc == 0 and (doc["n"], doc["k"]) == (8, 5)
+    assert (doc["class"], doc["d"]) == ("other", 2) and "note" not in doc
 
 
 def test_classify_nmds_12_4_over_gf49(capsys, tmp_path, gf49):

@@ -1,7 +1,9 @@
+import gc
 import itertools
 import json
 import random
 import sys
+import weakref
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -9,6 +11,7 @@ from hypothesis import assume, given, settings, strategies as st
 from gtrscodes import (
     CodeError,
     DistanceCapExceeded,
+    GaloisField,
     GTRSError,
     InvariantError,
     LinearCode,
@@ -21,7 +24,8 @@ from gtrscodes import (
 from gtrscodes.reference import verify_reference_rows
 from gtrscodes.selfdual import construct_class1, construct_class2
 
-from conftest import exhaustive_class, field_q2
+from conftest import (exhaustive_class, exhaustive_min_distance, field_q2,
+                      proportional_rows_code, subset_class)
 
 
 def naive_min_distance(code):
@@ -158,10 +162,88 @@ def test_min_distance_reference_instances(gf49):
 
 
 def test_min_distance_cap(gf49):
+    # the first layer is 2 information sets x 3 messages
     rng = random.Random(2)
     c = random_code(gf49, 6, 3, rng)
     with pytest.raises(DistanceCapExceeded):
-        c.min_distance(cap=100)
+        c.min_distance(cap=5)
+
+
+def test_min_distance_refuses_odd_fields_past_the_table_cap():
+    # GF(67^2) has no addition table: a refusal, as for any cap, so that
+    # `gtrs classify` still replies with the class
+    f = GaloisField(67, 2)
+    c = LinearCode(f, Matrix(f, [[1, 1, 0, 0]]))
+    assert c.classify() == "other"
+    with pytest.raises(DistanceCapExceeded, match="above 4096 elements"):
+        c.min_distance()
+
+
+def test_min_distance_past_the_q_to_the_k_cap(gf49):
+    # 49^5 > 2^24 projective messages, but d = 2 shows in layer 2: 5 + 480
+    # messages on the one information set
+    c = proportional_rows_code(gf49)
+    assert c.classify() == "other"
+    assert c.min_distance() == 2
+    assert c.min_distance(cap=485) == 2
+    with pytest.raises(DistanceCapExceeded):
+        c.min_distance(cap=484)
+
+
+def test_min_distance_and_classify_match_the_oracles():
+    """Information-set distance equals full enumeration and the plain
+    itertools loop, and the shared-prefix column walk equals ranking every
+    subset on its own, on seeded codes with zero and repeated columns,
+    k = 1, k = n, and one or several disjoint information sets."""
+    rng = random.Random(61)
+    fields = [GaloisField(2), GaloisField(7)] + [field_q2(q)
+                                                 for q in (2, 3, 4, 5, 7)]
+    seen = set()
+    codes = 0
+    for field in fields:
+        while codes < 100 * (fields.index(field) + 1):
+            n = rng.randint(1, 8)
+            k = rng.randint(1, n)
+            if field.order ** k > 2500:
+                continue
+            zeros = 0.6 * rng.random()
+            rows = [[0 if rng.random() < zeros else rng.randrange(field.order)
+                     for _ in range(n)] for _ in range(k)]
+            if k < n and rng.random() < 0.2:
+                i, j = rng.sample(range(n), 2)
+                for row in rows:
+                    row[j] = row[i]
+            if Matrix(field, rows).rank() < k:
+                continue
+            c = LinearCode(field, Matrix(field, rows))
+            d = c.min_distance()
+            assert d == exhaustive_min_distance(c) == naive_min_distance(c), rows
+            assert c.classify() == subset_class(c), rows
+            cols = list(zip(*rows))
+            seen |= {("sets", min(len(c._redundancies()), 2)),
+                     ("k", "1" if k == 1 else "n" if k == n else "1 < k < n"),
+                     ("zero column", (0,) * k in cols),
+                     ("repeated column", len(set(cols)) < n)}
+            codes += 1
+    assert codes == 700
+    assert seen >= {("sets", 1), ("sets", 2), ("k", "1"), ("k", "n"),
+                    ("k", "1 < k < n"), ("zero column", True),
+                    ("repeated column", True)}
+
+
+def test_kernels_leave_no_reference_cycle():
+    # with the cyclic collector off, a dropped code must free its field
+    gc.disable()
+    try:
+        field = GaloisField(7, 2)
+        ref = weakref.ref(field)
+        c = proportional_rows_code(field)
+        c.classify()
+        c.min_distance()
+        del c, field
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_singleton_bound_random(gf9):

@@ -1,8 +1,10 @@
 import functools
 import os
+import random
 import re
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -10,7 +12,8 @@ from hypothesis import given, settings, strategies as st
 
 import gtrscodes
 from gtrscodes import FieldError, GaloisField
-from gtrscodes.field import TABLE_CAP, _PRIME_BOUND, _prime_power, is_prime
+from gtrscodes.field import (TABLE_CAP, _PRIME_BOUND, _iroot, _prime_power,
+                             is_prime)
 
 from conftest import field_q2
 
@@ -354,6 +357,26 @@ def test_prime_power_of_large_numbers():
         _prime_power(3 * (2 ** 31 - 1) ** 2)
     with pytest.raises(FieldError, match="primality bound"):
         _prime_power((2 ** 31 - 1) * m61)
+
+
+def test_prime_power_of_a_13_208_bit_number_is_fast():
+    # the scan over s takes an integer root for every s <= 13 208, so each
+    # root must take a few Newton steps, not about s
+    start = time.perf_counter()
+    with pytest.raises(FieldError, match="primality bound"):
+        _prime_power((2 ** 127 - 1) ** 104)
+    assert time.perf_counter() - start < 2
+
+
+def test_iroot_is_the_floor_of_the_root():
+    rng = random.Random(11)
+    for _ in range(3000):
+        c = rng.randint(1, 1 << rng.randint(1, 80))
+        s = rng.randint(1, 40)
+        for n in (c ** s - 1, c ** s, c ** s + 1, rng.randrange(1, c ** s + 2)):
+            if n >= 1:
+                r = _iroot(n, s)
+                assert r ** s <= n < (r + 1) ** s, (n, s)
 
 
 @pytest.mark.parametrize("p,m,message", [
