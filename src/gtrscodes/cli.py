@@ -238,7 +238,7 @@ def cmd_sweep(args) -> int:
     classes = ("I", "II") if args.cls == "both" else (args.cls,)
     rows = []
     notes = []
-    for q in args.q:
+    for q in dict.fromkeys(args.q):     # a repeated q is swept once
         field = quadratic_extension(q)
         n_values = [n for n in (args.n or range(2, min(q, 8) + 1, 2))
                     if n <= min(q, 8) and n % 2 == 0]
@@ -286,71 +286,84 @@ def cmd_reference(args) -> int:
 # parser / entry point
 # ---------------------------------------------------------------------------
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The `gtrs` parser.  When `command` names a subcommand, only that
+    subparser is declared, so a request pays for no other command's
+    arguments.  Any other `command` (None, `-h`, a typo) declares all six,
+    so help and usage errors read the same either way."""
     p = _Parser(
         prog="gtrs",
         description="Twisted Reed-Solomon codes: construction, duality, "
                     "Hermitian self-dual families, exact classification.")
     sub = p.add_subparsers(dest="command", required=True)
 
-    c = sub.add_parser("construct", help="build a self-dual code family")
-    c.add_argument("--class", dest="cls", choices=("I", "II"), required=True)
-    c.add_argument("--q", type=int, required=True,
-                   help="subfield size; the code lives over GF(q^2)")
-    c.add_argument("--n", type=int, required=True)
-    c.add_argument("--al", type=int, required=True,
-                   help="coset label, a subfield element (integer encoding)")
-    c.add_argument("--m", type=int, help="direction exponent (class II)")
-    c.add_argument("--x", help="comma-separated subfield elements (default: "
-                               "the first n)")
-    c.add_argument("--out")
-    c.set_defaults(func=cmd_construct)
+    def construct(c):
+        c.add_argument("--class", dest="cls", choices=("I", "II"), required=True)
+        c.add_argument("--q", type=int, required=True,
+                       help="subfield size; the code lives over GF(q^2)")
+        c.add_argument("--n", type=int, required=True)
+        c.add_argument("--al", type=int, required=True,
+                       help="coset label, a subfield element (integer encoding)")
+        c.add_argument("--m", type=int, help="direction exponent (class II)")
+        c.add_argument("--x", help="comma-separated subfield elements "
+                                   "(default: the first n)")
+        c.add_argument("--out")
 
-    vfy = sub.add_parser("verify", help="check Hermitian self-duality")
-    vfy.add_argument("file")
-    vfy.add_argument("--out")
-    vfy.set_defaults(func=cmd_verify)
+    def verify(vfy):
+        vfy.add_argument("file")
+        vfy.add_argument("--out")
 
-    cla = sub.add_parser("classify", help="exact [n,k,d] and MDS/NMDS class")
-    cla.add_argument("file")
-    cla.add_argument("--cap", type=int, default=DEFAULT_DISTANCE_CAP,
-                     help="bound on messages enumerated for an 'other' "
-                          "code's distance or column subsets ranked "
-                          "(default: 2^24)")
-    cla.add_argument("--out")
-    cla.set_defaults(func=cmd_classify)
+    def classify(cla):
+        cla.add_argument("file")
+        cla.add_argument("--cap", type=int, default=DEFAULT_DISTANCE_CAP,
+                         help="bound on messages enumerated for an 'other' "
+                              "code's distance or column subsets ranked "
+                              "(default: 2^24)")
+        cla.add_argument("--out")
 
-    d = sub.add_parser("dual", help="compute a dual code")
-    d.add_argument("file")
-    d.add_argument("--mode", default="euclidean",
-                   choices=("euclidean", "hermitian", "group-closed-form",
-                            "plus-closed-form"))
-    d.add_argument("--out")
-    d.set_defaults(func=cmd_dual)
+    def dual(d):
+        d.add_argument("file")
+        d.add_argument("--mode", default="euclidean",
+                       choices=("euclidean", "hermitian", "group-closed-form",
+                                "plus-closed-form"))
+        d.add_argument("--out")
 
-    s = sub.add_parser("sweep", help="catalog of self-dual constructions")
-    s.add_argument("--q", type=int, nargs="+", required=True)
-    s.add_argument("--n", type=int, nargs="*")
-    s.add_argument("--class", dest="cls", choices=("I", "II", "both"),
-                   default="both")
-    s.add_argument("--format", default="json", choices=("json", "csv"))
-    s.add_argument("--out")
-    s.set_defaults(func=cmd_sweep)
+    def sweep(s):
+        s.add_argument("--q", type=int, nargs="+", required=True)
+        s.add_argument("--n", type=int, nargs="*")
+        s.add_argument("--class", dest="cls", choices=("I", "II", "both"),
+                       default="both")
+        s.add_argument("--format", default="json", choices=("json", "csv"))
+        s.add_argument("--out")
 
-    r = sub.add_parser("reference",
-                       help="verify the bundled GF(49) reference instances")
-    r.add_argument("--eta-index", type=int, default=None)
-    r.set_defaults(func=cmd_reference)
+    def reference(r):
+        r.add_argument("--eta-index", type=int, default=None)
 
+    commands = {
+        "construct": (construct, cmd_construct, "build a self-dual code family"),
+        "verify": (verify, cmd_verify, "check Hermitian self-duality"),
+        "classify": (classify, cmd_classify,
+                     "exact [n,k,d] and MDS/NMDS class"),
+        "dual": (dual, cmd_dual, "compute a dual code"),
+        "sweep": (sweep, cmd_sweep, "catalog of self-dual constructions"),
+        "reference": (reference, cmd_reference,
+                      "verify the bundled GF(49) reference instances"),
+    }
+    for name in (command,) if command in commands else commands:
+        declare, func, text = commands[name]
+        s = sub.add_parser(name, help=text)
+        declare(s)
+        s.set_defaults(func=func)
     return p
 
 
 def main(argv=None) -> int:
     try:
-        if any("\0" in arg for arg in argv or ()):
+        argv = sys.argv[1:] if argv is None else argv
+        if any("\0" in arg for arg in argv):
             # only an in-process caller can pass one; open() would raise
             raise UsageError("arguments must not contain NUL bytes")
-        args = build_parser().parse_args(argv)
+        args = build_parser(argv[0] if argv else None).parse_args(argv)
         return args.func(args)
     except (UsageError, ConstructionError, GTRSError, FieldError, CodeError,
             LinalgError, OSError, json.JSONDecodeError, UnicodeDecodeError,

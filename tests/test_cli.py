@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import copy
 import hashlib
@@ -15,7 +16,7 @@ import gtrscodes
 from gtrscodes import (LinearCode, Matrix, alpha_sum, code, construct_class1,
                        generator_matrix, is_mds_plus, plus_gtrs,
                        quadratic_extension)
-from gtrscodes.cli import main
+from gtrscodes.cli import UsageError, build_parser, main
 
 from conftest import field_q2, proportional_rows_code
 
@@ -375,6 +376,17 @@ def test_sweep_q2_minimal(capsys):
     assert all(r["self_dual"] for r in doc["rows"])
 
 
+def test_sweep_repeated_q_is_swept_once(capsys):
+    for fmt in ("csv", "json"):
+        once = run(capsys, "sweep", "--q", "3", "--format", fmt)
+        assert once[0] == 0 and once[1]
+        assert run(capsys, "sweep", "--q", "3", "3", "--format", fmt) == once
+    # notes keep the order in which each q first appears
+    rc, out, _ = run(capsys, "sweep", "--q", "5", "3", "5", "--n", "10")
+    assert rc == 0 and json.loads(out)["notes"] == [
+        f"q={q}: no admissible even lengths n = 2k <= q" for q in (5, 3)]
+
+
 def test_reference_command(capsys):
     rc, out, _ = run(capsys, "reference")
     assert rc == 0
@@ -467,10 +479,98 @@ def test_bad_arguments_exit_2(capsys, tmp_path, gf49):
                  ("dual", datum, "--mode", "thm2"),
                  ("dual", datum, "--mode", "lemma3"),
                  ("table1",),
+                 ("bogus",),
+                 ("verify",),
+                 ("sweep", "--q", "x"),
+                 ("verify", "f", "--bogus"),
                  ()):
         rc, out, err = run(capsys, *argv)
         assert rc == 2 and out == ""
         assert "error" in json.loads(err)
+
+
+COMMANDS = ("construct", "verify", "classify", "dual", "sweep", "reference")
+
+
+@pytest.mark.parametrize("argv", [
+    ("construct", "--class", "I", "--q", "4", "--n", "4", "--al", "0"),
+    ("verify", "/no/such/file.json"),
+    ("classify", "/no/such/file.json"),
+    ("dual", "/no/such/file.json"),
+    ("sweep", "--q", "2"),
+    ("reference", "--eta-index", "99"),
+    ("-h",), ("bogus",), ()], ids=[*COMMANDS, "help", "bogus", "empty"])
+def test_a_request_declares_only_its_command(capsys, monkeypatch, argv):
+    declared = []
+    real = argparse._SubParsersAction.add_parser
+
+    def counted(self, name, **kwargs):
+        declared.append(name)
+        return real(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counted)
+    with contextlib.suppress(SystemExit):
+        main(list(argv))
+    # no named command: all six, so help and usage errors list them all
+    assert declared == ([argv[0]] if argv and argv[0] in COMMANDS
+                        else list(COMMANDS))
+
+
+# every argv shape of this module and of the benchmark's request mix,
+# defaults included
+PARSE_CORPUS = [
+    ("construct", "--class", "I", "--q", "7", "--n", "6", "--al", "0",
+     "--x", "1,2,3,4,5,6"),
+    ("construct", "--class", "II", "--q", "7", "--n", "6", "--al", "0",
+     "--m", "4"),
+    ("construct", "--class", "I", "--q", "4", "--n", "4", "--al", "0",
+     "--out", "f.json"),
+    ("verify", "f.json"),
+    ("verify", "--out", "o.json", "--", "f.json"),
+    ("classify", "f.json"),
+    ("classify", "--cap", "10", "f.json"),
+    ("classify", "f.json", "--cap", "1000", "--out", "o.json"),
+    ("dual", "f.json"),
+    *[("dual", "f.json", "--mode", mode) for mode in (
+        "euclidean", "hermitian", "group-closed-form", "plus-closed-form")],
+    ("sweep", "--q", "3"),
+    ("sweep", "--q", "3", "5", "--class", "both"),
+    ("sweep", "--q", "3", "--class", "I", "--n"),
+    ("sweep", "--q", "7", "--n", "6", "--format", "csv", "--out", "c.csv"),
+    ("sweep", "--class", "II", "--format", "json", "--q", "3", "5", "7", "9",
+     "11", "13"),
+    ("reference",),
+    ("reference", "--eta-index", "0"),
+]
+
+
+@pytest.mark.parametrize("argv", PARSE_CORPUS, ids=" ".join)
+def test_command_parser_reads_like_the_full_parser(argv):
+    ours = build_parser(argv[0]).parse_args(argv)
+    assert vars(ours) == vars(build_parser().parse_args(argv))
+    assert ours.command == argv[0]
+
+
+@pytest.mark.parametrize("argv", [
+    ("-h",), *[(command, "-h") for command in COMMANDS],
+    (), ("bogus",), ("verify",), ("sweep", "--q", "x"),
+    ("verify", "f", "--bogus")], ids=lambda argv: " ".join(argv) or "empty")
+def test_help_and_usage_errors_match_the_full_parser(capsys, argv):
+    try:
+        build_parser().parse_args(argv)
+    except SystemExit as exc:
+        want = (exc.code, capsys.readouterr().out, "")
+    except UsageError as exc:
+        want = (2, "", json.dumps({"error": "UsageError", "message": str(exc)},
+                                  indent=2, sort_keys=True) + "\n")
+    else:
+        pytest.fail("the full parser accepted the command line")
+    try:
+        got = run(capsys, *argv)
+    except SystemExit as exc:
+        got = (exc.code, *capsys.readouterr())
+    assert got == want
+    assert want[0] == (0 if "-h" in argv else 2)
 
 
 def test_sweep_large_prime_q_exits_2():
