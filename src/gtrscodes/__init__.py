@@ -6,11 +6,9 @@ from .field import (FieldError, GaloisField, InvariantError, poly_eval,
                     quadratic_extension)
 from .gtrs import (GTRSError, GTRSParams, TwistSpec, alpha_sum, code,
                    dual_params, dual_parity_matrix, encode, expand_twisted,
-                   generator_matrix, is_mds_plus, l_matrix,
-                   plus_dual_euclidean, plus_gtrs, systematic_generator,
-                   u_vector)
+                   generator_matrix, is_mds_plus, plus_dual_euclidean,
+                   plus_gtrs, u_vector)
 from .linalg import (LinalgError, Matrix, frobenius_image,
-                     inverse_vandermonde_identity_check,
                      is_multiplicative_subgroup)
 from .selfdual import (ConstructionError, ConstructionResult,
                        check_self_dual_criterion, classify_eta,
@@ -26,9 +24,8 @@ __all__ = [
     "LinearCode", "Matrix", "TwistSpec", "alpha_sum",
     "check_self_dual_criterion", "classify_eta", "code", "construct_class1",
     "construct_class2", "dual_params", "dual_parity_matrix", "encode",
-    "expand_twisted", "frobenius_image", "generator_matrix",
-    "inverse_vandermonde_identity_check", "is_mds_plus",
-    "is_multiplicative_subgroup", "l_matrix",
-    "plus_dual_euclidean", "plus_gtrs", "poly_eval", "quadratic_extension",
-    "sweep_constructions", "systematic_generator", "u_vector", "zeta_roots",
+    "expand_twisted", "frobenius_image", "generator_matrix", "is_mds_plus",
+    "is_multiplicative_subgroup", "plus_dual_euclidean", "plus_gtrs",
+    "poly_eval", "quadratic_extension", "sweep_constructions", "u_vector",
+    "zeta_roots",
 ]

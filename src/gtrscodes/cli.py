@@ -52,7 +52,8 @@ def _json(obj) -> str:
 
 
 def _is_int(x) -> bool:
-    return isinstance(x, int)
+    # JSON true and false load as bool, a subclass of int
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def _is_coeffs(x) -> bool:

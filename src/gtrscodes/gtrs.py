@@ -177,34 +177,18 @@ def code(params: GTRSParams) -> LinearCode:
 
 
 # ---------------------------------------------------------------------------
-# Structured generator / dual forms for multiplicative-subgroup locators
+# Dual datum for multiplicative-subgroup locators
 # ---------------------------------------------------------------------------
-
-def l_matrix(field: GaloisField, twist: TwistSpec) -> Matrix:
-    """The sparse k x (n-k) block placing eta_mu at (h_mu + 1, t_mu)."""
-    k, nk = twist.k, twist.n - twist.k
-    data = [[0] * nk for _ in range(k)]
-    for t, h, e in zip(twist.t, twist.h, twist.eta):
-        data[h][t - 1] = e
-    return Matrix(field, data, cols=nk)
-
-
-def systematic_generator(params: GTRSParams) -> Matrix:
-    """[I | L] V_n(alpha) diag(v): same row space as generator_matrix."""
-    field = params.field
-    il = Matrix.identity(field, params.k).hstack(l_matrix(field, params.twist))
-    v = Matrix.vandermonde(field, params.alpha, params.n)
-    return il.mul(v).mul(Matrix.diagonal(field, params.v))
-
 
 def dual_parity_matrix(params: GTRSParams) -> Matrix:
     """(n-k) x n parity-check matrix for multiplicative-subgroup locators:
-    the systematic generator of `dual_params(params)`, which is
+    the generator matrix of `dual_params(params)`, which is
     [I | J_{n-k} (-L^T) J_k] V_n(alpha) diag(alpha / n) diag(v)^{-1}."""
-    h = systematic_generator(dual_params(params))
-    if h.rank() != params.n - params.k:
-        raise InvariantError("closed-form parity matrix is rank deficient")
-    return h
+    dual = dual_params(params)
+    try:
+        return generator_matrix(dual)
+    except GTRSError as exc:
+        raise InvariantError("closed-form parity matrix is rank deficient") from exc
 
 
 def dual_params(params: GTRSParams) -> GTRSParams:

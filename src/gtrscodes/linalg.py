@@ -46,31 +46,6 @@ class Matrix:
     def identity(cls, field: GaloisField, n: int) -> "Matrix":
         return cls(field, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
-    @classmethod
-    def reversal(cls, field: GaloisField, k: int) -> "Matrix":
-        if k < 1:
-            raise LinalgError("reversal needs k >= 1")
-        return cls(field, [[1 if i + j == k - 1 else 0 for j in range(k)]
-                           for i in range(k)])
-
-    @classmethod
-    def diagonal(cls, field: GaloisField, v: Sequence[int]) -> "Matrix":
-        v = list(v)
-        return cls(field, [[v[i] if i == j else 0 for j in range(len(v))]
-                           for i in range(len(v))])
-
-    @classmethod
-    def vandermonde(cls, field: GaloisField, alpha: Sequence[int], nrows: int) -> "Matrix":
-        alpha = [field.check(a) for a in alpha]
-        if len(set(alpha)) != len(alpha):
-            raise LinalgError("repeated evaluation point")
-        data = []
-        row = [1] * len(alpha)
-        for _ in range(nrows):
-            data.append(list(row))
-            row = [field.mul(r, a) for r, a in zip(row, alpha)]
-        return cls(field, data, cols=len(alpha))
-
     # -- basic ops --------------------------------------------------------------
 
     def _same_field(self, other: "Matrix"):
@@ -103,13 +78,6 @@ class Matrix:
 
     def conj_transpose(self) -> "Matrix":
         return frobenius_image(self).transpose()
-
-    def hstack(self, other: "Matrix") -> "Matrix":
-        self._same_field(other)
-        if self.rows != other.rows:
-            raise LinalgError("row count mismatch")
-        return Matrix(self.field, [list(a) + list(b) for a, b in zip(self.data, other.data)],
-                      cols=self.cols + other.cols)
 
     def is_zero(self) -> bool:
         return all(x == 0 for row in self.data for x in row)
@@ -219,19 +187,3 @@ def is_multiplicative_subgroup(field: GaloisField, alpha: Sequence[int]) -> bool
     if len(s) != len(pts) or 0 in s or 1 not in s:
         return False
     return all(field.mul(x, y) in s for x in s for y in s)
-
-
-def inverse_vandermonde_identity_check(field: GaloisField, alpha: Sequence[int]) -> bool:
-    """Check V^T (J V diag(alpha / n)) = I for a full multiplicative-subgroup
-    Vandermonde; n must be invertible in the field."""
-    n = len(alpha)
-    if not is_multiplicative_subgroup(field, alpha):
-        raise LinalgError("alpha must form a multiplicative subgroup")
-    if n % field.p == 0:
-        raise LinalgError("group order divisible by the characteristic")
-    inv_n = field.inv(field.scalar(n))
-    v = Matrix.vandermonde(field, alpha, n)
-    j = Matrix.reversal(field, n)
-    d = Matrix.diagonal(field, [field.mul(a, inv_n) for a in alpha])
-    cand = j.mul(v).mul(d)
-    return v.transpose().mul(cand) == Matrix.identity(field, n)

@@ -113,6 +113,83 @@ def reference_rref(field, rows, cols):
     return tuple(map(tuple, a)), r, tuple(pivots)
 
 
+# The product forms of the GTRS matrices for subgroup locators, written out
+# on plain row lists so that they share no code with `Matrix`: the oracles
+# for `generator_matrix` and `dual_parity_matrix`.
+
+def _product(field, a, b):
+    mul, add = field.mul, field.add
+    return tuple(tuple(functools.reduce(add, map(mul, row, col), 0)
+                       for col in zip(*b)) for row in a)
+
+
+def _scale_columns(field, rows, d):
+    return tuple(tuple(map(field.mul, row, d)) for row in rows)
+
+
+def _identity(n):
+    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+
+
+def _reversal(n):
+    return [[int(i + j == n - 1) for j in range(n)] for i in range(n)]
+
+
+def _vandermonde(field, alpha):
+    rows = [[1] * len(alpha)]
+    for _ in range(len(alpha) - 1):
+        rows.append(list(map(field.mul, rows[-1], alpha)))
+    return rows
+
+
+def _systematic(field, block, alpha, scale):
+    """[I | block] V_n(alpha) diag(scale)."""
+    rows = [(*i, *b) for i, b in zip(_identity(len(block)), block)]
+    vander = _vandermonde(field, alpha)
+    return _scale_columns(field, _product(field, rows, vander), scale)
+
+
+def l_block(field, twist):
+    """The sparse k x (n-k) block placing eta_mu at (h_mu + 1, t_mu)."""
+    rows = [[0] * (twist.n - twist.k) for _ in range(twist.k)]
+    for t, h, e in zip(twist.t, twist.h, twist.eta):
+        rows[h][t - 1] = e
+    return tuple(map(tuple, rows))
+
+
+def systematic_generator(params):
+    """[I | L] V_n(alpha) diag(v)."""
+    f = params.field
+    return _systematic(f, l_block(f, params.twist), params.alpha, params.v)
+
+
+def flipped_block(params):
+    """J_{n-k} (-L^T) J_k, from the L block of params."""
+    f, n, k = params.field, params.n, params.k
+    neg_lt = [[f.neg(x) for x in col] for col in zip(*l_block(f, params.twist))]
+    return _product(f, _product(f, _reversal(n - k), neg_lt), _reversal(k))
+
+
+def parity_formula(params):
+    """[I | J_{n-k} (-L^T) J_k] V_n(alpha) diag(alpha / n) diag(v)^{-1}."""
+    f = params.field
+    inv_n = f.inv(f.scalar(params.n))
+    scale = [f.mul(f.mul(a, inv_n), f.inv(x))
+             for a, x in zip(params.alpha, params.v)]
+    return _systematic(f, flipped_block(params), params.alpha, scale)
+
+
+def inverse_vandermonde_identity(field, alpha) -> bool:
+    """V^T (J V diag(alpha / n)) = I for the Vandermonde V of a
+    multiplicative subgroup alpha of order n, n invertible in the field."""
+    n = len(alpha)
+    inv_n = field.inv(field.scalar(n))
+    v = _vandermonde(field, alpha)
+    jvd = _scale_columns(field, _product(field, _reversal(n), v),
+                         [field.mul(a, inv_n) for a in alpha])
+    return _product(field, list(zip(*v)), jvd) == _identity(n)
+
+
 @pytest.fixture(scope="session")
 def gf7():
     return GaloisField(7)

@@ -420,12 +420,19 @@ def test_malformed_inputs_exit_2(capsys, tmp_path, gf7, gf49):
                       ("short_rows", dict(good, n=3, k=1,
                                           generator=[[[1], [2]]])),
                       ("wrong_k", dict(good, k=3)),
-                      ("str_k", dict(good, k="2"))):
+                      ("str_k", dict(good, k="2")),
+                      # JSON true loads as a bool, a subclass of int
+                      ("bool_twist",
+                       dict(datum, twists=[[True, *datum["twists"][0][1:]]])),
+                      ("bool_m", dict(good, field=dict(good["field"], m=True))),
+                      ("bool_p", dict(good, field=dict(good["field"], p=True)))):
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(doc))
         rc, out, err = run(capsys, "classify", str(path))
         assert rc == 2 and out == ""
         assert "error" in json.loads(err)
+        if name.startswith("bool_"):
+            assert json.loads(err)["message"].endswith("has the wrong type")
 
 
 def test_invariant_failure_exits_3(capsys, tmp_path, gf49, monkeypatch):

@@ -19,15 +19,14 @@ from gtrscodes import (
     expand_twisted,
     generator_matrix,
     is_mds_plus,
-    l_matrix,
     plus_dual_euclidean,
     plus_gtrs,
     poly_eval,
-    systematic_generator,
     u_vector,
 )
 
-from conftest import exhaustive_class, field_q2
+from conftest import (exhaustive_class, field_q2, flipped_block, l_block,
+                      parity_formula, systematic_generator)
 
 
 def subgroup(field, n):
@@ -130,48 +129,6 @@ def test_generator_matrix_rank_guard(gf9):
         generator_matrix(params)
 
 
-def test_l_matrix(gf7):
-    tw = TwistSpec(3, 6, [1], [2], [5])
-    lm = l_matrix(gf7, tw)
-    assert lm.rows == 3 and lm.cols == 3
-    assert lm.data == ((0, 0, 0), (0, 0, 0), (5, 0, 0))
-    two = TwistSpec(3, 6, [1, 3], [2, 0], [5, 4])
-    lm = l_matrix(gf7, two)
-    assert lm.data == ((0, 0, 4), (0, 0, 0), (5, 0, 0))
-
-
-def test_systematic_generator_row_space(gf49):
-    rng = random.Random(17)
-    for n in (2, 4, 6, 8, 12):
-        for _ in range(3):
-            k = rng.randint(1, n - 1)
-            params = random_subgroup_params(gf49, k, n, rng)
-            sysg = systematic_generator(params)
-            assert sysg.rows == k and sysg.cols == n
-            a = LinearCode(gf49, sysg)
-            b = code(params)
-            assert a.equals(b)
-
-
-def flipped_block(params):
-    """J_{n-k} (-L^T) J_k, from the L block of params."""
-    f, n, k = params.field, params.n, params.k
-    lt = l_matrix(f, params.twist).transpose()
-    neg_lt = Matrix(f, [[f.neg(x) for x in row] for row in lt.data], cols=k)
-    return Matrix.reversal(f, n - k).mul(neg_lt).mul(Matrix.reversal(f, k))
-
-
-def parity_formula(params):
-    """[I | J_{n-k} (-L^T) J_k] V_n(alpha) diag(alpha / n) diag(v)^{-1},
-    written out: the oracle for dual_parity_matrix."""
-    f, n, k = params.field, params.n, params.k
-    inv_n = f.inv(f.scalar(n))
-    return (Matrix.identity(f, n - k).hstack(flipped_block(params))
-            .mul(Matrix.vandermonde(f, params.alpha, n))
-            .mul(Matrix.diagonal(f, [f.mul(a, inv_n) for a in params.alpha]))
-            .mul(Matrix.diagonal(f, [f.inv(x) for x in params.v])))
-
-
 @pytest.mark.parametrize("q,lengths", [(7, (2, 3, 4, 6, 8, 12, 16, 24)),
                                        (4, (3, 5, 15))])
 def test_structured_forms_match_entrywise(q, lengths):
@@ -184,10 +141,9 @@ def test_structured_forms_match_entrywise(q, lengths):
         for _ in range(6):
             k = rng.randint(1, n - 1)
             params = random_subgroup_params(f, k, n, rng)
-            assert generator_matrix(params).data == systematic_generator(params).data
-            assert dual_parity_matrix(params).data == parity_formula(params).data
-            dual_l = l_matrix(f, dual_params(params).twist)
-            assert dual_l.data == flipped_block(params).data
+            assert generator_matrix(params).data == systematic_generator(params)
+            assert dual_parity_matrix(params).data == parity_formula(params)
+            assert l_block(f, dual_params(params).twist) == flipped_block(params)
 
 
 def test_generator_matches_systematic_form_on_any_locators(gf9):
@@ -198,7 +154,7 @@ def test_generator_matches_systematic_form_on_any_locators(gf9):
         alpha = rng.sample(range(gf9.order), n)
         v = [rng.randrange(1, gf9.order) for _ in range(n)]
         params = GTRSParams(gf9, alpha, v, random_twist(gf9, k, n, rng))
-        assert generator_matrix(params).data == systematic_generator(params).data
+        assert generator_matrix(params).data == systematic_generator(params)
 
 
 def test_dual_parity_small_case(gf7):
@@ -206,7 +162,7 @@ def test_dual_parity_small_case(gf7):
     params = plus_gtrs(gf7, [1, 6], [1, 1], 2, 1)
     h = dual_parity_matrix(params)
     assert h.rows == 1 and h.cols == 2
-    g = systematic_generator(params)
+    g = generator_matrix(params)
     assert g.mul(h.transpose()).is_zero()
 
 
@@ -218,7 +174,7 @@ def test_dual_parity_contract(gf49):
             params = random_subgroup_params(gf49, k, n, rng)
             h = dual_parity_matrix(params)
             assert h.rank() == n - k
-            g = systematic_generator(params)
+            g = generator_matrix(params)
             assert g.mul(h.transpose()).is_zero()
             assert LinearCode(gf49, h).equals(code(params).dual_euclidean())
 

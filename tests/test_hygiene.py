@@ -176,8 +176,9 @@ def unread_public_names(defining: dict[str, str],
                         readers: dict[str, str]) -> list[str]:
     """Public functions, classes and methods defined in `defining` (name ->
     source) whose name appears in no source of `readers` except on a def or
-    class line of that name.  Matching is by word, so an export list, a
-    string or a comment counts as a reader."""
+    class line of that name.  Matching is by word, so a string or a comment
+    counts as a reader.  An `__init__.py` does not: its imports and
+    `__all__` name every export, read or not."""
     defined = []
     for module, source in defining.items():
         defined += [(node.name, module, node.lineno)
@@ -188,6 +189,8 @@ def unread_public_names(defining: dict[str, str],
     def_lines = {(module, line) for _, module, line in defined}
     read = set()
     for module, source in readers.items():
+        if module.endswith("__init__.py"):
+            continue
         for line, text in enumerate(source.splitlines(), 1):
             words = set(re.findall(r"\w+", text))
             if (module, line) in def_lines:
@@ -206,11 +209,18 @@ def test_unread_public_name_is_detected():
            "def exported():\n    return Matrix().rank()\n"
            "def twin():\n    return 2\n")
     other = "def twin():\n    return 3\n"
-    readers = {"lib.py": lib, "other.py": other,
-               "__init__.py": "__all__ = ['exported']\n"}
+    init = ("from .lib import Matrix, exported, twin\n"
+            "__all__ = ['Matrix', 'exported', 'twin']\n")
+    readers = {"lib.py": lib, "other.py": other, "pkg/__init__.py": init,
+               "test_lib.py": "from pkg import exported\nexported()\n"}
     found = unread_public_names({"lib.py": lib, "other.py": other}, readers)
     assert found == ["orphan (lib.py line 4)", "twin (lib.py line 10)",
                      "twin (other.py line 1)"]
+    # a name that only the export list names has no reader
+    del readers["test_lib.py"]
+    found = unread_public_names({"lib.py": lib, "other.py": other}, readers)
+    assert found == ["exported (lib.py line 8)", "orphan (lib.py line 4)",
+                     "twin (lib.py line 10)", "twin (other.py line 1)"]
 
 
 def test_every_public_name_has_a_reader():
