@@ -144,6 +144,8 @@ def cmd_construct(args) -> int:
 
 def cmd_verify(args) -> int:
     params, lin = _load_input(args.file)
+    # Hermitian duality needs GF(q^2): refused before either route runs
+    (lin if params is None else params).field._require_square()
     n, k = (lin.n, lin.k) if params is None else (params.n, params.k)
     report = {
         "n": n,

@@ -46,14 +46,10 @@ class LinearCode:
     # -- duality -----------------------------------------------------------------
 
     def dual_euclidean(self) -> "LinearCode":
-        if self.k == 0:
-            return LinearCode(self.field, Matrix.identity(self.field, self.n))
         return LinearCode(self.field, self.gen.kernel_basis())
 
     def dual_hermitian(self) -> "LinearCode":
         self.field._require_square()
-        if self.k == 0:
-            return LinearCode(self.field, Matrix.identity(self.field, self.n))
         return LinearCode(self.field, frobenius_image(self.gen).kernel_basis())
 
     def is_hermitian_self_dual(self) -> bool:

@@ -11,7 +11,7 @@ lookup tables, and characteristic-2 addition is XOR of the encodings.
 
 from __future__ import annotations
 
-from math import gcd, isqrt, log2
+from math import gcd, isqrt
 from typing import Sequence
 
 MAX_ORDER = 1 << 16      # largest field constructed
@@ -27,27 +27,10 @@ class InvariantError(RuntimeError):
     its input."""
 
 
-_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-_PRIME_BOUND = 3317044064679887385961981
-
-
 def is_prime(n: int) -> bool:
-    """Miller-Rabin on the 13 primes up to 41, exact below _PRIME_BOUND
-    (Sorenson and Webster, "Strong pseudoprimes to twelve prime bases",
-    2017).  Past the bound, far beyond any field that can be built, it
-    refuses to decide."""
-    if n >= _PRIME_BOUND:
-        raise FieldError(f"a {n.bit_length()}-bit integer is past the exact "
-                         f"primality bound {_PRIME_BOUND}")
-    if n < 2 or n % 2 == 0 or n in _PRIME_BASES:
-        return n in _PRIME_BASES
-    r = ((n - 1) & (1 - n)).bit_length() - 1     # n - 1 = d * 2^r, d odd
-    d = (n - 1) >> r
-    for b in _PRIME_BASES:
-        x = pow(b, d, n)
-        if x != 1 and all(pow(x, 1 << i, n) != n - 1 for i in range(r)):
-            return False
-    return True
+    """Trial division up to isqrt(n).  Callers bound n first: GaloisField
+    tests only p <= MAX_ORDER."""
+    return n > 1 and all(n % d for d in range(2, isqrt(n) + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -114,45 +97,29 @@ def _poly_pow_frobenius(r: list[int], mod: Sequence[int], p: int) -> list[int]:
 
 
 def is_irreducible(modulus: Sequence[int], p: int) -> bool:
-    """Exact irreducibility test over GF(p) via x^(p^i) Frobenius iterates."""
+    """Ben-Or's test: f of degree m is irreducible over GF(p) iff
+    gcd(f, x^(p^i) - x) = 1 for 1 <= i <= m/2, since a reducible f has an
+    irreducible factor of degree i <= m/2, which divides x^(p^i) - x."""
     mod = [c % p for c in modulus]
     m = len(mod) - 1
     if m < 1 or mod[-1] == 0:
         return False
-    if m == 1:
-        return True
-    # r_i = x^(p^i) mod f; f irreducible iff gcd(r_i - x, f) = 1 for
-    # 1 <= i <= m/2 and r_m = x.
-    r = [0, 1]
-    for i in range(1, m + 1):
+    r = [0, 1]                        # r_i = x^(p^i) mod f
+    for _ in range(m // 2):
         r = _poly_pow_frobenius(r, mod, p)
-        if i <= m // 2:
-            diff = list(r)
-            while len(diff) < 2:
-                diff.append(0)
-            diff[1] = (diff[1] - 1) % p
-            g = _poly_gcd(mod, diff, p)
-            if len(g) - 1 > 0:
-                return False
-    want = _poly_trim([0, 1])
-    return _poly_trim(list(r)) == want
+        diff = r + [0] * (2 - len(r))
+        diff[1] = (diff[1] - 1) % p
+        if len(_poly_gcd(mod, diff, p)) > 1:
+            return False
+    return True
 
 
 def _find_irreducible(p: int, m: int) -> list[int]:
     """Smallest monic irreducible of degree m, by the integer encoding of
-    its low coefficients."""
-    if m == 1:
-        return [0, 1]
-    for j in range(p ** m):
-        coeffs = []
-        t = j
-        for _ in range(m):
-            coeffs.append(t % p)
-            t //= p
-        cand = coeffs + [1]
-        if is_irreducible(cand, p):
-            return cand
-    raise FieldError(f"no irreducible polynomial of degree {m} over GF({p})")
+    its low coefficients; one exists for every p and m."""
+    candidates = ([j // p ** i % p for i in range(m)] + [1]
+                  for j in range(p ** m))
+    return next(c for c in candidates if is_irreducible(c, p))
 
 
 class GaloisField:
@@ -170,15 +137,20 @@ class GaloisField:
 
     def __init__(self, p: int, m: int = 1, modulus: Sequence[int] | None = None,
                  generator: int | Sequence[int] | None = None):
-        if not is_prime(p):
+        # number theory runs only on p within the cap; p^m >= 2^m, so a
+        # huge p or m is refused before p^m is built or formatted
+        if p <= MAX_ORDER and not is_prime(p):
             raise FieldError(f"characteristic {p} is not prime")
         if m < 1:
             raise FieldError("extension degree must be >= 1")
+        if p > MAX_ORDER or m > MAX_ORDER.bit_length():
+            try:
+                size = str(p) if m == 1 else f"{p}^{m}"
+            except ValueError:          # p past the int-to-str digit limit
+                size = f">= 2^{p.bit_length() - 1}"
+            raise FieldError(f"field size {size} exceeds cap {MAX_ORDER}")
         self.p = p
         self.m = m
-        # p^m >= 2^m: a huge m is refused before p^m is built or formatted
-        if m > MAX_ORDER.bit_length():
-            raise FieldError(f"field size {p}^{m} exceeds cap {MAX_ORDER}")
         self.order = p ** m
         if self.order > MAX_ORDER:
             raise FieldError(f"field size {self.order} exceeds cap {MAX_ORDER}")
@@ -490,39 +462,15 @@ def quadratic_extension(q: int) -> GaloisField:
     return GaloisField(p, 2 * s)
 
 
-def _iroot(n: int, s: int) -> int:
-    """floor(n ** (1/s)) for n >= 1.
-
-    e = log2(n) / s comes from a float of n's leading 64 bits, good to
-    about e * 2^-51 + 2^-46.  A root below 2^30 is then the floor of 2^e
-    unless 2^e lies within 2^-8 of an integer, where one power decides.  A
-    larger root starts Newton's method from above, at 2^e raised past that
-    error, and converges in a few steps; from a power of two above the
-    root it would shrink only by a factor 1 - 1/s a step."""
-    shift = max(n.bit_length() - 64, 0)
-    e = (log2(n >> shift) + shift) / s
-    whole = int(e)
-    if whole < 30:
-        r = 2.0 ** e
-        c = round(r)
-        if abs(r - c) > 2.0 ** -8:
-            return int(r)
-        return c if c ** s <= n else c - 1
-    top = int(2.0 ** (e - whole + 52) * (1 + 2.0 ** -30 + e * 2.0 ** -48)) + 1
-    x = ((top << whole) >> 52) + 1
-    while (y := ((s - 1) * x + n // x ** (s - 1)) // s) < x:
-        x = y
-    return x
-
-
 def _prime_power(q: int) -> tuple[int, int]:
-    """(p, s) with q = p^s.  The exact s-th root of q for the largest such
-    s is no perfect power, so q is a prime power iff that root is prime."""
+    """(p, s) with q = p^s.  p is the smallest divisor of q above 1, hence
+    prime, and q is a prime power iff dividing out p leaves 1.  Callers
+    bound q first: quadratic_extension refuses q > 256."""
     if q >= 2:
-        for s in range(q.bit_length(), 0, -1):
-            p = _iroot(q, s)
-            if p ** s == q:
-                if is_prime(p):
-                    return p, s
-                break
+        p = next((d for d in range(2, isqrt(q) + 1) if q % d == 0), q)
+        rest, s = q, 0
+        while rest % p == 0:
+            rest, s = rest // p, s + 1
+        if rest == 1:
+            return p, s
     raise FieldError(f"{q} is not a prime power")

@@ -40,12 +40,6 @@ class Matrix:
         self.cols = cols
         self._rref = None
 
-    # -- constructors ---------------------------------------------------------
-
-    @classmethod
-    def identity(cls, field: GaloisField, n: int) -> "Matrix":
-        return cls(field, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
     # -- basic ops --------------------------------------------------------------
 
     def _same_field(self, other: "Matrix"):

@@ -134,6 +134,21 @@ def test_verify_odd_length(capsys, tmp_path, gf49):
     assert doc["reason"] == "n odd"
 
 
+def test_verify_over_a_non_square_field_exits_2(capsys, tmp_path, gf7):
+    # Hermitian duality is defined only over GF(q^2); GF(7) = GF(7^1)
+    for name, obj in (
+            ("raw_3_1", LinearCode(gf7, Matrix(gf7, [[1, 2, 3]]))),
+            ("plus_3_1", plus_gtrs(gf7, [1, 2, 3], [1, 1, 1], 1, 1)),
+            ("plus_4_1", plus_gtrs(gf7, [1, 2, 3, 4], [1, 1, 1, 1], 1, 1))):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(obj.to_dict()))
+        rc, out, err = run(capsys, "verify", str(path))
+        assert (rc, out) == (2, ""), name
+        assert json.loads(err) == {
+            "error": "FieldError",
+            "message": "operation requires a square extension GF(q^2)"}
+
+
 def test_classify_repetition(capsys, tmp_path):
     gf9 = field_q2(3)
     code = LinearCode(gf9, Matrix(gf9, [[1, 1, 1, 1]]))
@@ -705,6 +720,50 @@ def _documents(draw):
             doc[action] = draw(st.integers(-1, 9))
     # one document in four is not a JSON object at all
     return draw(st.sampled_from((doc,) * 9 + ([doc], "doc", 7)))
+
+
+_NOT_INT = (None, True, "7", 1.5, [], {}, [[]], [1, 2])
+_NOT_LIST = (None, True, "7", 1.5, {}, -1, 10 ** 6)
+# per key the loaders check, JSON values of the wrong type for it, written
+# out here rather than read from the loaders' own predicates
+WRONG_TYPES = {
+    "field": {
+        "p": _NOT_INT, "m": _NOT_INT,
+        "modulus": (True, "7", 1.5, {}, -1, 10 ** 6, [[]], [1, True], ["1"]),
+        "generator": (True, "7", 1.5, {}, [[]], [1, None], [False])},
+    "datum": {
+        "alpha": _NOT_LIST + ([1, 2], [[True]], [[1.5]], [[[1]]]),
+        "v": _NOT_LIST + ([1, 2], [[None]], [["1"]]),
+        "k": _NOT_INT,
+        "twists": _NOT_LIST + ([[]], [1, 2], [[1, 0]], [[1, 0, [1], 2]],
+                               [[True, 0, [1]]], [[1, "0", [1]]],
+                               [[1, 0, 5]], [[1, 0, [1.5]]])},
+    "raw": {
+        "n": _NOT_INT, "k": _NOT_INT,
+        "generator": _NOT_LIST + ([1, 2], [[1]], [[[True]]], [[["1"]]],
+                                  [[None]])},
+}
+
+
+def test_wrong_typed_keys_exit_2(capsys, tmp_path):
+    path = tmp_path / "doc.json"
+    for doc in FUZZ_DOCS:
+        for part in ("field", "datum" if "twists" in doc else "raw"):
+            where = "field " if part == "field" else ""
+            for key, junk in WRONG_TYPES[part].items():
+                for value in junk:
+                    bad = copy.deepcopy(doc)
+                    node = bad["field"] if part == "field" else bad
+                    assert key in node
+                    node[key] = value
+                    path.write_text(json.dumps(bad))
+                    for command in ("classify", "verify", "dual"):
+                        rc, out, err = run(capsys, command, str(path))
+                        assert (rc, out) == (2, ""), (command, key, value)
+                        assert json.loads(err) == {
+                            "error": "UsageError",
+                            "message": f"malformed input: {where}{key!r} "
+                                       "has the wrong type"}, (key, value)
 
 
 def _ints(lo, hi):

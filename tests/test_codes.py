@@ -59,7 +59,7 @@ def test_constructor_validation(gf7):
 
 
 def test_dual_euclidean_full_space(gf7):
-    c = LinearCode(gf7, Matrix.identity(gf7, 3))
+    c = LinearCode(gf7, Matrix(gf7, [[1, 0, 0], [0, 1, 0], [0, 0, 1]]))
     d = c.dual_euclidean()
     assert d.k == 0 and d.n == 3
     assert d.dual_euclidean().equals(c)

@@ -1,6 +1,6 @@
 import functools
+import itertools
 import os
-import random
 import re
 import subprocess
 import sys
@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 import gtrscodes
 from gtrscodes import FieldError, GaloisField
-from gtrscodes.field import (TABLE_CAP, _PRIME_BOUND, _iroot, _prime_power,
+from gtrscodes.field import (TABLE_CAP, _prime_power, is_irreducible,
                              is_prime)
 
 from conftest import field_q2
@@ -336,54 +336,63 @@ def test_prime_power_against_a_table():
                 _prime_power(q)
 
 
-def test_is_prime_against_trial_division():
-    for n in range(-3, 10 ** 5):
-        assert is_prime(n) == (n > 1 and all(n % d for d in
-                                             range(2, int(n ** 0.5) + 1)))
-    # strong pseudoprimes to the first 4 and the first 9 prime bases
-    assert not is_prime(3215031751)
-    assert not is_prime(3825123056546413051)
-    assert is_prime(2 ** 61 - 1) and is_prime(2 ** 79 - 67)
-    with pytest.raises(FieldError, match="past the exact primality bound"):
-        is_prime(_PRIME_BOUND)
+def test_is_prime_against_a_sieve():
+    top = 10 ** 5
+    sieve = bytearray([0, 0]) + bytearray([1]) * (top - 2)
+    for d in range(2, int(top ** 0.5) + 1):
+        if sieve[d]:
+            sieve[d * d::d] = bytes(len(range(d * d, top, d)))
+    for n in range(-3, top):
+        assert is_prime(n) == (n >= 2 and sieve[n] == 1), n
 
 
-def test_prime_power_of_large_numbers():
-    m61 = 2 ** 61 - 1
-    assert _prime_power(2 ** 100) == (2, 100)
-    assert _prime_power(m61 ** 3) == (m61, 3)
-    assert _prime_power(m61) == (m61, 1)
-    with pytest.raises(FieldError, match="is not a prime power"):
-        _prime_power(3 * (2 ** 31 - 1) ** 2)
-    with pytest.raises(FieldError, match="primality bound"):
-        _prime_power((2 ** 31 - 1) * m61)
+def has_monic_factor(f, p):
+    """True iff the monic f (constant term first) has a monic factor of
+    degree 1 to deg(f)/2 over GF(p), by long division by every candidate."""
+    m = len(f) - 1
+    for d in range(1, m // 2 + 1):
+        for low in itertools.product(range(p), repeat=d):
+            g = [*low, 1]
+            r = list(f)
+            for i in range(m - d, -1, -1):
+                c = r[i + d]
+                for j in range(d + 1):
+                    r[i + j] = (r[i + j] - c * g[j]) % p
+            if not any(r):
+                return True
+    return False
 
 
-def test_prime_power_of_a_13_208_bit_number_is_fast():
-    # the scan over s takes an integer root for every s <= 13 208, so each
-    # root must take a few Newton steps, not about s
-    start = time.perf_counter()
-    with pytest.raises(FieldError, match="primality bound"):
-        _prime_power((2 ** 127 - 1) ** 104)
-    assert time.perf_counter() - start < 2
+@pytest.mark.parametrize("p,top", [(2, 8), (3, 5), (5, 4), (7, 3), (11, 2)])
+def test_is_irreducible_against_factor_search(p, top):
+    # every monic polynomial of degree 1 to top over GF(p)
+    for m in range(1, top + 1):
+        for low in itertools.product(range(p), repeat=m):
+            f = [*low, 1]
+            assert is_irreducible(f, p) == (not has_monic_factor(f, p)), f
+    assert not is_irreducible([1, 1, 0], p)      # leading coefficient 0
+    assert not is_irreducible([1], p)            # degree 0
 
 
-def test_iroot_is_the_floor_of_the_root():
-    rng = random.Random(11)
-    for _ in range(3000):
-        c = rng.randint(1, 1 << rng.randint(1, 80))
-        s = rng.randint(1, 40)
-        for n in (c ** s - 1, c ** s, c ** s + 1, rng.randrange(1, c ** s + 2)):
-            if n >= 1:
-                r = _iroot(n, s)
-                assert r ** s <= n < (r + 1) ** s, (n, s)
+HUGE_P = 10 ** 4299 + 1      # 4 300 digits
 
 
 @pytest.mark.parametrize("p,m,message", [
     (3, 11, "field size 177147 exceeds cap 65536"),
     (2, 20000, "field size 2^20000 exceeds cap 65536"),
     (2, 10 ** 9, "field size 2^1000000000 exceeds cap 65536"),
-    (2 ** 61 - 1, 1, "field size 2305843009213693951 exceeds cap 65536")])
+    (2 ** 61 - 1, 1, "field size 2305843009213693951 exceeds cap 65536"),
+    (2 ** 61, 1, "field size 2305843009213693952 exceeds cap 65536"),
+    (65537, 2, "field size 65537^2 exceeds cap 65536"),
+    # str() of this p to the 17th power would pass the digit limit
+    pytest.param(HUGE_P, 17, f"field size {HUGE_P}^17 exceeds cap 65536",
+                 id="4300_digit_p-17"),
+    # str() of this p itself passes the digit limit
+    pytest.param(10 ** 4300, 1, "field size >= 2^14284 exceeds cap 65536",
+                 id="4301_digit_p-1")])
 def test_oversize_field_messages(p, m, message):
+    # the cap is checked before any number theory on p
+    start = time.perf_counter()
     with pytest.raises(FieldError, match=f"^{re.escape(message)}$"):
         GaloisField(p, m)
+    assert time.perf_counter() - start < 1
