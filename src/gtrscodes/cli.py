@@ -160,7 +160,7 @@ def cmd_verify(args) -> int:
         try:
             # its Gram route answers gram_zero; it raises unless the
             # polynomial route agrees
-            gram = check_self_dual_criterion(params)
+            gram = check_self_dual_criterion(params) is not None
             report["thm4_polynomial_check"] = gram
         except (GTRSError, ValueError) as exc:
             report["thm4_polynomial_check"] = False
@@ -243,11 +243,14 @@ def cmd_sweep(args) -> int:
     notes = []
     for q in dict.fromkeys(args.q):     # a repeated q is swept once
         field = quadratic_extension(q)
-        n_values = [n for n in (args.n or range(2, min(q, 8) + 1, 2))
-                    if n <= min(q, 8) and n % 2 == 0]
-        if not n_values:
-            notes.append(f"q={q}: no admissible even lengths n = 2k <= q")
-            continue
+        # sweep_constructions owns the length rule and its default; lengths
+        # past q are dropped so several --q values can share one --n
+        n_values = None
+        if args.n:
+            n_values = [n for n in args.n if n <= q]
+            if not n_values:
+                notes.append(f"q={q}: no admissible even lengths n = 2k <= q")
+                continue
         results = sweep_constructions(field, n_values, classes=classes)
         if not results:
             notes.append(f"q={q}: sweep produced no constructions")

@@ -67,12 +67,6 @@ class LinearCode:
             raise CodeError("length mismatch")
         return self.gen.row_space_key() == other.gen.row_space_key()
 
-    def __eq__(self, other):
-        return isinstance(other, LinearCode) and self.equals(other)
-
-    def __hash__(self):
-        return hash((self.field, self.n, self.gen.row_space_key()))
-
     # -- distance / classification ----------------------------------------------------
 
     def min_distance(self, cap: int = DEFAULT_DISTANCE_CAP) -> int:

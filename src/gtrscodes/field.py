@@ -59,16 +59,11 @@ def _poly_mod(a: Sequence[int], mod: Sequence[int], p: int) -> list[int]:
     a = list(a)
     dm = len(mod) - 1
     inv_lead = pow(mod[-1], p - 2, p)
-    while len(a) - 1 >= dm and _poly_trim(a):
-        d = len(a) - 1
-        if a[-1] == 0:
-            a.pop()
-            continue
+    while _poly_trim(a) and len(a) - 1 >= dm:
         factor = (a[-1] * inv_lead) % p
-        shift = d - dm
+        shift = len(a) - 1 - dm
         for i, mi in enumerate(mod):
             a[i + shift] = (a[i + shift] - factor * mi) % p
-        a = _poly_trim(a)
     return a
 
 
@@ -400,12 +395,6 @@ class GaloisField:
         if not any(coeffs):
             raise FieldError("root finding on the zero polynomial")
         return {x for x in range(self.order) if poly_eval(self, coeffs, x) == 0}
-
-    def primitive_elements(self) -> list[int]:
-        """All primitive elements, ascending by discrete log of the default
-        generator."""
-        n1 = self.order - 1
-        return [self.exp[j] for j in range(1, n1) if gcd(j, n1) == 1] if n1 > 1 else [1]
 
     # -- numpy tables for LinearCode.min_distance -------------------------
 

@@ -200,13 +200,12 @@ def dual_params(params: GTRSParams) -> GTRSParams:
     n, k = params.n, params.k
     if not is_multiplicative_subgroup(field, params.alpha):
         raise GTRSError("locators must form a multiplicative subgroup")
-    if n % field.p == 0:
-        raise GTRSError("length divisible by the characteristic")
     tw = params.twist
     new_t = tuple(k - h for h in tw.h)
     new_h = tuple(n - k - t for t in tw.t)
     new_eta = tuple(field.neg(e) for e in tw.eta)
     spec = TwistSpec(k=n - k, n=n, t=new_t, h=new_h, eta=new_eta)
+    # n divides p^m - 1, the order of the unit group, so n is a unit
     inv_n = field.inv(field.scalar(n))
     new_v = tuple(field.mul(field.mul(a, inv_n), field.inv(x))
                   for a, x in zip(params.alpha, params.v))

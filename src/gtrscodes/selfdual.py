@@ -35,15 +35,10 @@ class ConstructionError(ValueError):
 # Self-duality criterion for single-twist codes
 # ---------------------------------------------------------------------------
 
-def check_self_dual_criterion(params: GTRSParams) -> bool:
-    """Exact Hermitian self-duality test for a single-twist code, run along
-    two independent routes that must agree (see `_self_dual_code`)."""
-    return _self_dual_code(params) is not None
-
-
-def _self_dual_code(params: GTRSParams) -> LinearCode | None:
-    """The code of params when it is Hermitian self-dual, else None.  Two
-    independent routes decide, and they must agree:
+def check_self_dual_criterion(params: GTRSParams) -> LinearCode | None:
+    """Exact Hermitian self-duality test for a single-twist code: the code
+    of params when it is Hermitian self-dual, else None.  Two independent
+    routes decide, and they must agree:
 
     (i)  Gram route: G conj(G)^T = 0 with n = 2k;
     (ii) polynomial route: for every basis polynomial f, the point values

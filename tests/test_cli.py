@@ -402,6 +402,19 @@ def test_sweep_repeated_q_is_swept_once(capsys):
         f"q={q}: no admissible even lengths n = 2k <= q" for q in (5, 3)]
 
 
+def test_sweep_n_follows_the_library_length_rule(capsys):
+    # any even 2 <= n <= q is swept, not only n <= 8
+    rc, out, _ = run(capsys, "sweep", "--q", "13", "--n", "10")
+    doc = json.loads(out)
+    assert rc == 0 and doc["notes"] == [] and len(doc["rows"]) == 158
+    assert {row["n"] for row in doc["rows"]} == {10}
+    # an odd length is refused, not dropped
+    for lengths in (("3",), ("4", "3")):
+        rc, out, err = run(capsys, "sweep", "--q", "7", "--n", *lengths)
+        assert (rc, out) == (2, "")
+        assert json.loads(err)["message"] == "invalid sweep length 3"
+
+
 def test_reference_command(capsys):
     rc, out, _ = run(capsys, "reference")
     assert rc == 0

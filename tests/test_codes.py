@@ -375,9 +375,19 @@ def test_reference_invariant_failure_is_not_a_failed_row(monkeypatch):
     def broken(params):
         raise InvariantError("routes disagree")
 
-    monkeypatch.setattr(reference, "_self_dual_code", broken)
+    monkeypatch.setattr(reference, "check_self_dual_criterion", broken)
     with pytest.raises(InvariantError):
         verify_reference_rows()
+
+
+def test_reference_failed_row_names_the_convention(monkeypatch):
+    import gtrscodes.reference as reference
+    rows = list(reference.REFERENCE_ROWS)
+    rows[2] = dict(rows[2], eta=("w27",))
+    monkeypatch.setattr(reference, "REFERENCE_ROWS", tuple(rows))
+    reports = verify_reference_rows()
+    assert [r.passed for r in reports] == [True, True, False, True, True, True]
+    assert reports[2].detail == "does not verify with w = generator^5"
 
 
 def test_reference_builds_one_generator_per_datum(monkeypatch):
@@ -395,4 +405,4 @@ def test_reference_builds_one_generator_per_datum(monkeypatch):
                 and getattr(mod, "generator_matrix", None) is generator_matrix):
             monkeypatch.setattr(mod, "generator_matrix", counted)
     assert all(r.passed for r in verify_reference_rows(eta_index=0))
-    assert len(calls) == len(set(calls)) == 10
+    assert len(calls) == len(set(calls)) == 6

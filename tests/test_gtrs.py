@@ -269,16 +269,16 @@ def test_plus_dual_all_ones_multipliers(gf49):
 
 
 def test_is_mds_plus_reference_values(gf49):
-    from gtrscodes.reference import REFERENCE_ROWS, _row_holds, resolve_token
-    # fix the primitive-element convention by the cube: w^8 = 3
-    w = next(x for x in gf49.primitive_elements() if gf49.pow(x, 8) == 3)
+    from gtrscodes.reference import OMEGA_LOG, REFERENCE_ROWS, resolve_token
+    # the stated primitive-element convention: w^8 = 3
+    w = gf49.pow(gf49.generator, OMEGA_LOG)
+    assert gf49.pow(w, 8) == 3
     alpha = [1, 2, 3, 4, 5, 6]
     assert is_mds_plus(gf49, alpha, gf49.pow(w, 4), 3)
     # the distance-3 bundled row: subset criterion says NMDS
     row = REFERENCE_ROWS[2]
-    w3 = next(x for x in gf49.primitive_elements() if _row_holds(gf49, x, row))
-    alpha3 = [resolve_token(gf49, w3, t) for t in row["alpha"]]
-    eta3 = resolve_token(gf49, w3, row["eta"][0])
+    alpha3 = [resolve_token(gf49, w, t) for t in row["alpha"]]
+    eta3 = resolve_token(gf49, w, row["eta"][0])
     assert not is_mds_plus(gf49, alpha3, eta3, 3)
     assert not is_mds_plus(gf49, alpha3, eta3, 3)
     # oracle: direct 3-subset sum scan

@@ -115,6 +115,36 @@ def test_no_unused_private_functions_in_package():
     assert unused_private_functions(sources) == []
 
 
+def private_imports(source: str) -> list[str]:
+    """Underscore names that a module imports from the package, by a
+    relative or an absolute `from ... import`."""
+    return sorted(
+        f"{alias.name} (line {node.lineno})"
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom)
+        and (node.level or (node.module or "").split(".")[0] == "gtrscodes")
+        for alias in node.names if alias.name.startswith("_"))
+
+
+def test_private_import_is_detected():
+    src = ("from __future__ import annotations\n"
+           "from os import _exit\n"
+           "from .field import GaloisField, _poly_mul\n"
+           "from gtrscodes.selfdual import _build as build\n"
+           "def f():\n"
+           "    from . import _private\n"
+           "    return GaloisField.__init__\n")
+    assert private_imports(src) == ["_build (line 4)", "_poly_mul (line 3)",
+                                    "_private (line 6)"]
+
+
+def test_no_private_imports_between_package_modules():
+    found = {p.name: private_imports(p.read_text())
+             for p in sorted(SRC.glob("*.py"))}
+    assert found
+    assert {name: names for name, names in found.items() if names} == {}
+
+
 def declared_options(source: str) -> list[tuple[str, str, int]]:
     """(name, dest, line) of each `add_argument` call in `build_parser`,
     nested definitions included."""

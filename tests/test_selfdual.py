@@ -29,7 +29,8 @@ from conftest import exhaustive_class, field_q2, reference_rref, sweep_cache
 
 
 def test_criterion_on_bundled_instance(gf49):
-    w = next(x for x in gf49.primitive_elements() if gf49.pow(x, 8) == 3)
+    from gtrscodes.reference import OMEGA_LOG
+    w = gf49.pow(gf49.generator, OMEGA_LOG)
     alpha = [1, 2, 3, 4, 5, 6]
     v = [gf49.pow(w, 4), 1, gf49.pow(w, 11), 3, gf49.pow(w, 9), w]
     params = plus_gtrs(gf49, alpha, v, gf49.pow(w, 4), 3)
@@ -40,6 +41,15 @@ def test_criterion_on_bundled_instance(gf49):
     broken = plus_gtrs(gf49, alpha, v, 1, 3)
     assert not check_self_dual_criterion(broken)
     assert not code(broken).is_hermitian_self_dual()
+
+
+def test_criterion_returns_the_self_dual_code(gf49):
+    res = construct_class1(gf49, 1, [0, 1, 2, 3])
+    eta = res.eta_list[0][0]
+    params = res.params(eta)
+    assert check_self_dual_criterion(params).equals(code(params))
+    perturbed = res.params(gf49.add(eta, 1))
+    assert check_self_dual_criterion(perturbed) is None
 
 
 def test_criterion_errors(gf49):
