@@ -17,38 +17,34 @@ from .selfdual import check_self_dual_criterion
 
 OMEGA_LOG = 5  # w = generator^OMEGA_LOG in GaloisField(7, 2)
 
-# element tokens: "wE" = w^E, otherwise a subfield integer
+# element tokens: "wE" = w^E, otherwise a subfield integer; rows 1-3 are
+# class I, rows 4-6 class II, and params (n, k, d) reads MDS for d = 4 and
+# NMDS for d = 3
 REFERENCE_ROWS = (
-    {"class": "I", "a_zero": True, "params": (6, 3, 4),
+    {"params": (6, 3, 4),
      "alpha": ("1", "2", "3", "4", "5", "6"),
      "v": ("w4", "1", "w11", "3", "w9", "w1"),
-     "eta": ("w4", "w12", "w20", "w28", "w36", "w44"),
-     "label": "MDS"},
-    {"class": "I", "a_zero": False, "params": (6, 3, 4),
+     "eta": ("w4", "w12", "w20", "w28", "w36", "w44")},
+    {"params": (6, 3, 4),
      "alpha": ("w1", "w2", "w5", "w11", "w31", "w36"),
      "v": ("w2", "w5", "w6", "w10", "w1", "w3"),
-     "eta": ("w17", "w23", "w27", "w38", "5", "w45"),
-     "label": "MDS"},
-    {"class": "I", "a_zero": False, "params": (6, 3, 3),
+     "eta": ("w17", "w23", "w27", "w38", "5", "w45")},
+    {"params": (6, 3, 3),
      "alpha": ("w1", "w2", "w5", "w11", "w31", "w36"),
      "v": ("w2", "w5", "w6", "w10", "w1", "w3"),
-     "eta": ("w26",),
-     "label": "NMDS"},
-    {"class": "II", "a_zero": True, "params": (6, 3, 4),
+     "eta": ("w26",)},
+    {"params": (6, 3, 4),
      "alpha": ("w4", "w28", "w20", "w44", "w12", "w36"),
      "v": ("w1", "w10", "w3", "1", "w2", "w11"),
-     "eta": ("1", "2", "3", "4", "5", "6"),
-     "label": "MDS"},
-    {"class": "II", "a_zero": False, "params": (6, 3, 4),
+     "eta": ("1", "2", "3", "4", "5", "6")},
+    {"params": (6, 3, 4),
      "alpha": ("w1", "w25", "0", "w17", "w41", "w9"),
      "v": ("w2", "1", "w5", "w3", "w4", "w1"),
-     "eta": ("3", "w14", "w17", "w18", "w29", "w36"),
-     "label": "MDS"},
-    {"class": "II", "a_zero": False, "params": (6, 3, 3),
+     "eta": ("3", "w14", "w17", "w18", "w29", "w36")},
+    {"params": (6, 3, 3),
      "alpha": ("w1", "w25", "0", "w17", "w41", "w9"),
      "v": ("w2", "1", "w5", "w3", "w4", "w1"),
-     "eta": ("w31",),
-     "label": "NMDS"},
+     "eta": ("w31",)},
 )
 
 

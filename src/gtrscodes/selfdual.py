@@ -17,7 +17,7 @@ the equation and give the MDS [2, 1, 2] code.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import product
 
 from .codes import LinearCode
@@ -170,8 +170,12 @@ class ConstructionResult:
         }
 
 
-def _verified(res: ConstructionResult) -> ConstructionResult:
-    """Run both self-duality routes on every listed eta of a built result."""
+def _finished(res: ConstructionResult) -> ConstructionResult:
+    """Label every listed eta of a built result by `classify_eta` on its
+    own locators, then run both self-duality routes on each."""
+    res = replace(res, eta_list=tuple(
+        (eta, classify_eta(res.field, res.alpha, eta))
+        for eta, _ in res.eta_list))
     for eta, _ in res.eta_list:
         if not check_self_dual_criterion(res.params(eta)):
             raise InvariantError("constructed code failed the self-duality criterion")
@@ -181,13 +185,26 @@ def _verified(res: ConstructionResult) -> ConstructionResult:
 def construct_class1(field: GaloisField, a_l: int, x_subset) -> ConstructionResult:
     """Locators a_l * w + x_i with x_i distinct subfield elements, n = 2k <= q.
     Fails when the locator sum is zero in characteristic 2."""
-    return _verified(_build(field, a_l, None, x_subset))
+    return _construct(field, a_l, None, x_subset)
 
 
 def construct_class2(field: GaloisField, a_l: int, m: int, x_subset) -> ConstructionResult:
     """Locators a_l + w^m * x_i, 1 <= m <= q, with x_i distinct subfield
     elements, n = 2k <= q."""
-    return _verified(_build(field, a_l, m, x_subset))
+    return _construct(field, a_l, m, x_subset)
+
+
+def _construct(field: GaloisField, a_l: int, m: int | None,
+               x_subset) -> ConstructionResult:
+    """One construction through the sweep's two steps, `_x_data` and
+    `_build`, after checking the coset label; every listed eta is labelled
+    and verified."""
+    field._require_square()
+    field.check(a_l)
+    if not field.in_subfield(a_l):
+        raise ConstructionError("coset label must lie in the subfield")
+    return _finished(_build(field, a_l, m, _x_data(field, x_subset),
+                            zeta_roots(field)))
 
 
 def _coset(field: GaloisField, a_l: int, m: int | None) -> tuple[int, int]:
@@ -198,18 +215,14 @@ def _coset(field: GaloisField, a_l: int, m: int | None) -> tuple[int, int]:
     return a_l, field.pow(field.generator, m)
 
 
-def _build(field: GaloisField, a_l: int, m: int | None, x_subset) -> ConstructionResult:
-    """Locators c + beta * x_i on the coset `_coset(field, a_l, m)`, 1 <= m
-    <= q for class II. Since beta^(n-1) u_i(alpha) = u_i(x), the multipliers
-    solve N(v_i) = u_i(x). With B = k*c + k*c^q / beta^(q-1) + beta *
-    sum(x), the eta candidates are the zeta roots over B when a and B are
-    nonzero, none for class I in characteristic 2 when only B is zero, and
-    the roots of eta^(q-1) = -beta^-(q-1) otherwise."""
+def _x_data(field: GaloisField, x_subset) -> tuple[tuple[int, ...],
+                                                   tuple[int, ...], int]:
+    """(x, v, sum(x)) for a checked x subset of distinct subfield elements
+    of even length 2 <= n <= q. Since beta^(n-1) u_i(alpha) = u_i(x) on
+    every coset, the multipliers v solve N(v_i) = u_i(x): they and sum(x)
+    depend on the x subset alone, so a sweep computes them once per x."""
     q = field._require_square()
-    field.check(a_l)
-    if not field.in_subfield(a_l):
-        raise ConstructionError("coset label must lie in the subfield")
-    x = [field.check(xi) for xi in x_subset]
+    x = tuple(field.check(xi) for xi in x_subset)
     if len(set(x)) != len(x):
         raise ConstructionError("x subset entries must be distinct")
     if not all(field.in_subfield(xi) for xi in x):
@@ -219,18 +232,32 @@ def _build(field: GaloisField, a_l: int, m: int | None, x_subset) -> Constructio
         raise ConstructionError("length must be even and >= 2")
     if n > q:
         raise ConstructionError(f"length {n} exceeds coset size q = {q}")
+    u = u_vector(field, x)
+    if not all(field.in_subfield(ui) for ui in u):
+        raise InvariantError("expected multiplier data in the subfield")
+    return x, tuple(field.solve_norm(ui) for ui in u), alpha_sum(field, x)
+
+
+def _build(field: GaloisField, a_l: int, m: int | None, x_data,
+           zetas: list[int]) -> ConstructionResult:
+    """The unlabelled construction on the coset `_coset(field, a_l, m)` with
+    locators c + beta * x_i, for the `_x_data` of an x subset; 1 <= m <= q
+    for class II, and `zetas` = `zeta_roots(field)`. With B = k*c + k*c^q
+    / beta^(q-1) + beta * sum(x), the eta candidates are the zeta roots over
+    B when a and B are nonzero, none for class I in characteristic 2 when
+    only B is zero, and the roots of eta^(q-1) = -beta^-(q-1) otherwise.
+    Every listed eta carries the label None until `_finished`."""
+    q = field.q
+    x, v, sum_x = x_data
+    n = len(x)
     if m is not None and not 1 <= m <= q:
         raise ConstructionError(f"m must lie in [1, {q}]")
     c, beta = _coset(field, a_l, m)
-    alpha = [field.add(c, field.mul(beta, xi)) for xi in x]
+    alpha = tuple(field.add(c, field.mul(beta, xi)) for xi in x)
     a = alpha_sum(field, alpha)
     if a == 0 and field.p == 2:
         raise ConstructionError(
             "locator sum zero in characteristic 2 is excluded")
-    u = u_vector(field, x)
-    if not all(field.in_subfield(ui) for ui in u):
-        raise InvariantError("expected multiplier data in the subfield")
-    v = [field.solve_norm(ui) for ui in u]
 
     beta_q1 = field.pow(beta, q - 1)
     big_b = 0
@@ -239,10 +266,10 @@ def _build(field: GaloisField, a_l: int, m: int | None, x_subset) -> Constructio
         big_b = field.add(
             field.add(field.mul(k, c),
                       field.div(field.mul(k, field.frobenius(c)), beta_q1)),
-            field.mul(beta, alpha_sum(field, x)))
+            field.mul(beta, sum_x))
     if big_b != 0:
         inv_b = field.inv(big_b)
-        candidates = [field.mul(z, inv_b) for z in zeta_roots(field)]
+        candidates = [field.mul(z, inv_b) for z in zetas]
     elif a != 0 and m is None and field.p == 2:
         candidates = []
     else:
@@ -250,9 +277,8 @@ def _build(field: GaloisField, a_l: int, m: int | None, x_subset) -> Constructio
     kept = [eta for eta in candidates if field.add(1, field.mul(a, eta)) != 0]
     if not kept:
         raise ConstructionError("no admissible eta candidates for this input")
-    eta_list = tuple((eta, classify_eta(field, alpha, eta)) for eta in kept)
-    return ConstructionResult("I" if m is None else "II", field, a_l, m,
-                              tuple(x), tuple(alpha), tuple(v), a, eta_list,
+    return ConstructionResult("I" if m is None else "II", field, a_l, m, x,
+                              alpha, v, a, tuple((eta, None) for eta in kept),
                               len(candidates) - len(kept))
 
 
@@ -298,9 +324,14 @@ def canonical_x_subsets(field: GaloisField, n: int) -> list[tuple[int, ...]]:
 def sweep_constructions(field: GaloisField, n_values=None,
                         classes=("I", "II")) -> list[ConstructionResult]:
     """Enumerate both families over all coset labels (and direction exponents
-    for class II) with canonical x subsets; deduplicate the built results by
-    their generator row spaces first, then verify only the kept ones, so both
-    self-duality routes run once per listed code; deterministic output order."""
+    for class II) with canonical x subsets; deterministic output order.
+
+    The zeta roots are computed once per call and the `_x_data` of each x
+    subset once in its own loop, so each (class, a_l, m) builds only its
+    coset locators, B and eta candidates. The built results are
+    deduplicated by their generator row spaces first; only the kept ones
+    are labelled, each from its own locators, and verified, so
+    `classify_eta` and both self-duality routes run once per listed code."""
     q = field._require_square()
     if q > 16:
         raise ConstructionError("sweep capped at q <= 16")
@@ -308,6 +339,7 @@ def sweep_constructions(field: GaloisField, n_values=None,
         n_values = [n for n in range(2, min(q, 8) + 1, 2)]
     sub = field.subfield_elements()
     exponents = {"I": [None], "II": range(1, q + 1)}
+    zetas = zeta_roots(field)
     results = []
     seen = set()
     memo = {}
@@ -315,17 +347,18 @@ def sweep_constructions(field: GaloisField, n_values=None,
         if n % 2 or n < 2 or n > q:
             raise ConstructionError(f"invalid sweep length {n}")
         for x in canonical_x_subsets(field, n):
+            x_data = _x_data(field, x)
             for cls_name in classes:
                 if cls_name not in exponents:
                     raise ConstructionError(f"unknown class {cls_name!r}")
                 for a_l, m in product(sub, exponents[cls_name]):
                     try:
-                        res = _build(field, a_l, m, x)
+                        res = _build(field, a_l, m, x_data, zetas)
                     except ConstructionError:
                         continue
                     key = _row_space_keys(res, memo)
                     if key in seen:
                         continue
                     seen.add(key)
-                    results.append(_verified(res))
+                    results.append(_finished(res))
     return results

@@ -262,3 +262,111 @@ def test_every_public_name_has_a_reader():
                 if name.startswith("src/gtrscodes/")}
     assert defining
     assert unread_public_names(defining, readers) == []
+
+
+CACHE_NAMES = {"cache", "lru_cache", "cached_property"}
+MUTATING_METHODS = {"append", "add", "update", "setdefault", "extend",
+                    "insert", "pop", "popitem", "clear", "remove", "discard"}
+
+
+def module_state_writes(source: str) -> list[str]:
+    """State kept across calls: a function that stores into or deletes from
+    a subscript of a module-level name, calls a mutating method on one or
+    declares a name `global`, and any functools cache, as a decorator, an
+    import or an attribute."""
+    tree = ast.parse(source)
+    module_names = set()
+    for node in tree.body:
+        targets = (node.targets if isinstance(node, ast.Assign)
+                   else [node.target]
+                   if isinstance(node, (ast.AnnAssign, ast.AugAssign)) else [])
+        module_names |= {n.id for t in targets for n in ast.walk(t)
+                         if isinstance(n, ast.Name)}
+    found = set()
+    for func in ast.walk(tree):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for dec in func.decorator_list:
+            dec = dec.func if isinstance(dec, ast.Call) else dec
+            name = getattr(dec, "id", getattr(dec, "attr", None))
+            if name in CACHE_NAMES:
+                found.add(f"@{name} (line {dec.lineno})")
+        local = {a.arg for a in ast.walk(func.args) if isinstance(a, ast.arg)}
+        local |= {n.id for n in ast.walk(func)
+                  if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
+        for node in ast.walk(func):
+            if isinstance(node, ast.Global):
+                found |= {f"global {name} (line {node.lineno})"
+                          for name in node.names}
+            elif (isinstance(node, ast.Subscript)
+                  and isinstance(node.ctx, (ast.Store, ast.Del))):
+                target = node.value
+                if (isinstance(target, ast.Name) and target.id in module_names
+                        and target.id not in local):
+                    found.add(f"{target.id}[...] (line {node.lineno})")
+            elif (isinstance(node, ast.Call)
+                  and isinstance(node.func, ast.Attribute)
+                  and node.func.attr in MUTATING_METHODS):
+                target = node.func.value
+                if (isinstance(target, ast.Name) and target.id in module_names
+                        and target.id not in local):
+                    found.add(f"{target.id}.{node.func.attr} "
+                              f"(line {node.lineno})")
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.ImportFrom) and node.module == "functools"):
+            found |= {f"functools.{a.name} (line {node.lineno})"
+                      for a in node.names if a.name in CACHE_NAMES}
+        elif (isinstance(node, ast.Attribute) and node.attr in CACHE_NAMES
+              and isinstance(node.value, ast.Name)
+              and node.value.id == "functools"):
+            found.add(f"functools.{node.attr} (line {node.lineno})")
+    return sorted(found)
+
+
+def test_module_state_write_is_detected():
+    src = ("import functools\n"
+           "from functools import cache, reduce\n"
+           "MEMO = {}\n"
+           "SEEN: set = set()\n"
+           "ROWS = LOG = []\n"
+           "def f(key, ROWS):\n"
+           "    MEMO[key] = 1\n"
+           "    SEEN.add(key)\n"
+           "    ROWS.append(key)\n"
+           "    LOG.extend([key])\n"
+           "    del MEMO[key]\n"
+           "    return MEMO.get(key), reduce\n"
+           "def g():\n"
+           "    global COUNT\n"
+           "    SEEN = set()\n"
+           "    SEEN.add(1)\n"
+           "    return [LOG[0]]\n"
+           "@functools.lru_cache(maxsize=None)\n"
+           "def h(x):\n"
+           "    return functools.cache\n")
+    assert module_state_writes(src) == [
+        "@lru_cache (line 18)", "LOG.extend (line 10)", "MEMO[...] (line 11)",
+        "MEMO[...] (line 7)", "SEEN.add (line 8)",
+        "functools.cache (line 2)", "functools.cache (line 20)",
+        "functools.lru_cache (line 18)", "global COUNT (line 14)"]
+    # a mutated copy of the sweep that keeps its x-subset data and zeta
+    # roots across calls fails the check
+    source = (SRC / "selfdual.py").read_text()
+    for old, new in (
+            ("class ConstructionError",
+             "_X_DATA = {}\n\n\nclass ConstructionError"),
+            ("            x_data = _x_data(field, x)\n",
+             "            x_data = _X_DATA.setdefault(\n"
+             "                (field.order, x), _x_data(field, x))\n"),
+            ("def zeta_roots(", "@functools.cache\ndef zeta_roots(")):
+        assert old in source
+        source = source.replace(old, new)
+    assert [f.split(" (")[0] for f in module_state_writes(source)] == [
+        "@cache", "_X_DATA.setdefault", "functools.cache"]
+
+
+def test_no_module_state_writes_in_package():
+    found = {p.name: module_state_writes(p.read_text())
+             for p in sorted(SRC.glob("*.py"))}
+    assert found
+    assert {name: writes for name, writes in found.items() if writes} == {}

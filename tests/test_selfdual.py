@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import event, given, reject, settings, strategies as st
@@ -22,7 +23,7 @@ from gtrscodes import (
     zeta_roots,
 )
 from gtrscodes.linalg import Matrix
-from gtrscodes.selfdual import (_build, _coset, _row_space_keys,
+from gtrscodes.selfdual import (_build, _coset, _row_space_keys, _x_data,
                                 canonical_x_subsets)
 
 from conftest import exhaustive_class, field_q2, reference_rref, sweep_cache
@@ -244,16 +245,72 @@ def test_sweep_verifies_each_kept_code_once(gf49, monkeypatch):
         sweep_constructions(gf49)
 
 
+@pytest.mark.parametrize("q", [7, 8])
+def test_sweep_does_x_subset_work_once_per_subset(q, monkeypatch):
+    # the multipliers cost one u_vector call per distinct x subset (the
+    # criterion makes one more per check), the zeta roots one call per
+    # sweep, and only the kept codes are labelled
+    import gtrscodes.selfdual as selfdual
+    calls = Counter()
+
+    def counter(name):
+        real = getattr(selfdual, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return real(*args)
+        return counted
+
+    for name in ("u_vector", "zeta_roots", "classify_eta",
+                 "check_self_dual_criterion"):
+        monkeypatch.setattr(selfdual, name, counter(name))
+    field = field_q2(q)
+    results = sweep_constructions(field)
+    subsets = {x for n in range(2, min(q, 8) + 1, 2)
+               for x in canonical_x_subsets(field, n)}
+    rows = sum(len(r.eta_list) for r in results)
+    assert calls["u_vector"] - calls["check_self_dual_criterion"] == len(subsets)
+    assert calls["zeta_roots"] <= 1
+    assert calls["classify_eta"] == calls["check_self_dual_criterion"] == rows > 0
+
+
+@pytest.mark.parametrize("q", [3, 4, 5, 7, 8, 9, 11, 13])
+def test_sweep_labels_follow_each_rows_own_locators(q):
+    # rows are labelled after deduplication, so each label must come from
+    # the row's own locators, rebuilt here from its class, a_l, m and x
+    # subset: the subset criterion decides, and no code is built
+    results = sweep_cache(q)
+    assert results
+    f = results[0].field
+    w = f.generator
+    labels = Counter()
+    for res in results:
+        if res.construction == "I":
+            alpha = tuple(f.add(f.mul(res.a_l, w), xi) for xi in res.x_subset)
+        else:
+            beta = f.pow(w, res.m)
+            alpha = tuple(f.add(res.a_l, f.mul(beta, xi)) for xi in res.x_subset)
+        assert res.alpha == alpha
+        for eta, lbl in res.eta_list:
+            assert lbl == ("MDS" if is_mds_plus(f, alpha, eta, res.k)
+                           else "NMDS")
+            labels[lbl] += 1
+    assert labels["NMDS"] > 0 or q in (3, 4, 8)
+
+
 def built_constructions(field):
-    """Every result the sweep's builders yield over GF(q^2), kept or not."""
+    """Every unlabelled result the sweep's builder yields over GF(q^2), kept
+    or not."""
     q = field.q
     sub = field.subfield_elements()
+    zetas = zeta_roots(field)
     for n in range(2, min(q, 8) + 1, 2):
         for x in canonical_x_subsets(field, n):
+            x_data = _x_data(field, x)
             for a_l in sub:
                 for m in [None, *range(1, q + 1)]:
                     try:
-                        yield _build(field, a_l, m, x)
+                        yield _build(field, a_l, m, x_data, zetas)
                     except ConstructionError:
                         pass
 
@@ -343,7 +400,7 @@ def test_swept_codes_are_plain_twists_on_x(data):
     a_l = data.draw(st.sampled_from(sub), label="a_l")
     m = data.draw(st.sampled_from([None, *range(1, q + 1)]), label="m")
     try:
-        res = _build(f, a_l, m, x)
+        res = _build(f, a_l, m, _x_data(f, x), zeta_roots(f))
     except ConstructionError:
         reject()
     assert res.v == tuple(f.solve_norm(u) for u in u_vector(f, x))
