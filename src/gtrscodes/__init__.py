@@ -5,9 +5,8 @@ from .codes import DEFAULT_DISTANCE_CAP, CodeError, DistanceCapExceeded, LinearC
 from .field import (FieldError, GaloisField, InvariantError, poly_eval,
                     quadratic_extension)
 from .gtrs import (GTRSError, GTRSParams, TwistSpec, alpha_sum, code,
-                   dual_params, dual_parity_matrix, encode, expand_twisted,
-                   generator_matrix, is_mds_plus, plus_dual_euclidean,
-                   plus_gtrs, u_vector)
+                   dual_params, generator_matrix, is_mds_plus,
+                   plus_dual_euclidean, plus_gtrs, u_vector)
 from .linalg import (LinalgError, Matrix, frobenius_image,
                      is_multiplicative_subgroup)
 from .selfdual import (ConstructionError, ConstructionResult,
@@ -23,9 +22,8 @@ __all__ = [
     "GTRSParams", "GaloisField", "InvariantError", "LinalgError",
     "LinearCode", "Matrix", "TwistSpec", "alpha_sum",
     "check_self_dual_criterion", "classify_eta", "code", "construct_class1",
-    "construct_class2", "dual_params", "dual_parity_matrix", "encode",
-    "expand_twisted", "frobenius_image", "generator_matrix", "is_mds_plus",
-    "is_multiplicative_subgroup", "plus_dual_euclidean", "plus_gtrs",
-    "poly_eval", "quadratic_extension", "sweep_constructions", "u_vector",
-    "zeta_roots",
+    "construct_class2", "dual_params", "frobenius_image", "generator_matrix",
+    "is_mds_plus", "is_multiplicative_subgroup", "plus_dual_euclidean",
+    "plus_gtrs", "poly_eval", "quadratic_extension", "sweep_constructions",
+    "u_vector", "zeta_roots",
 ]

@@ -162,7 +162,7 @@ def cmd_verify(args) -> int:
             # polynomial route agrees
             gram = check_self_dual_criterion(params) is not None
             report["thm4_polynomial_check"] = gram
-        except (GTRSError, ValueError) as exc:
+        except ValueError as exc:
             report["thm4_polynomial_check"] = False
             report["reason"] = str(exc)
     if n % 2:
@@ -170,7 +170,7 @@ def cmd_verify(args) -> int:
     if gram is None:
         # the criterion refused the datum, or there is none
         lin = code(params) if lin is None else lin
-        gram = n == 2 * k and lin.is_hermitian_self_dual()
+        gram = lin.is_hermitian_self_dual()
     report["gram_zero"] = gram
     report["hermitian_self_dual"] = gram
     _emit(_json(report), args.out)

@@ -26,16 +26,16 @@ class LinearCode:
     """An [n, k] code given by a full-rank k x n generator matrix.
 
     k = 0 is represented by a zero-row generator so duality stays total.
+    The field is the generator's.  The rank is checked here, the one place
+    a code is made, whether from JSON or from a constructor.
     """
 
-    def __init__(self, field: GaloisField, gen: Matrix):
-        if gen.field != field:
-            raise CodeError("generator field mismatch")
+    def __init__(self, gen: Matrix):
         if gen.cols < 1:
             raise CodeError("length must be positive")
         if gen.rank() != gen.rows:
             raise CodeError("generator matrix is rank deficient")
-        self.field = field
+        self.field = gen.field
         self.gen = gen
         self.n = gen.cols
         self.k = gen.rows
@@ -46,11 +46,11 @@ class LinearCode:
     # -- duality -----------------------------------------------------------------
 
     def dual_euclidean(self) -> "LinearCode":
-        return LinearCode(self.field, self.gen.kernel_basis())
+        return LinearCode(self.gen.kernel_basis())
 
     def dual_hermitian(self) -> "LinearCode":
         self.field._require_square()
-        return LinearCode(self.field, frobenius_image(self.gen).kernel_basis())
+        return LinearCode(frobenius_image(self.gen).kernel_basis())
 
     def is_hermitian_self_dual(self) -> bool:
         self.field._require_square()
@@ -210,7 +210,7 @@ class LinearCode:
         if d["k"] != len(rows):
             raise CodeError(f"declared k = {d['k']} but the generator has "
                             f"{len(rows)} rows")
-        return cls(f, Matrix(f, rows, cols=d["n"]))
+        return cls(Matrix(f, rows, cols=d["n"]))
 
 
 def _every_subset_has_rank(field: GaloisField, cols, s: int, k: int) -> bool:

@@ -370,10 +370,8 @@ class GaloisField:
             raise FieldError("norm equation with zero right-hand side")
         if not self.in_subfield(c):
             raise FieldError("right-hand side is not in the subfield")
-        lc = self.log[c]
-        if lc % (q + 1):
-            raise FieldError("unsolvable norm equation (corrupt field)")
-        j = (lc // (q + 1)) % (q - 1)
+        # c^q = c, so (q^2 - 1) | (q - 1) log c, that is (q + 1) | log c
+        j = (self.log[c] // (q + 1)) % (q - 1)
         return self.exp[j]
 
     def power_roots(self, d: int, c: int) -> list[int]:

@@ -17,7 +17,7 @@ from itertools import combinations
 from math import comb
 
 from .codes import DEFAULT_DISTANCE_CAP, LinearCode
-from .field import GaloisField, InvariantError, poly_eval
+from .field import GaloisField
 from .linalg import Matrix, is_multiplicative_subgroup
 
 
@@ -117,43 +117,17 @@ class GTRSParams:
 
 def plus_gtrs(field: GaloisField, alpha, v, eta: int, k: int) -> GTRSParams:
     """The single-twist family with (t, h) = (1, k-1)."""
-    if eta == 0:
-        raise GTRSError("eta must be nonzero")
     spec = TwistSpec(k=k, n=len(alpha), t=(1,), h=(k - 1,), eta=(eta,))
     return GTRSParams(field, tuple(alpha), tuple(v), spec)
-
-
-# ---------------------------------------------------------------------------
-# Polynomial side
-# ---------------------------------------------------------------------------
-
-def expand_twisted(field: GaloisField, twist: TwistSpec, f) -> list[int]:
-    """Full coefficient list (length n) of the twisted polynomial with base
-    coefficients f."""
-    f = list(f)
-    if len(f) != twist.k:
-        raise GTRSError(f"expected {twist.k} coefficients, got {len(f)}")
-    out = [0] * twist.n
-    for i, c in enumerate(f):
-        out[i] = field.check(c)
-    for t, h, e in zip(twist.t, twist.h, twist.eta):
-        d = twist.k - 1 + t
-        out[d] = field.add(out[d], field.mul(e, f[h]))
-    return out
-
-
-def encode(params: GTRSParams, f) -> list[int]:
-    """Codeword [v_i * F(alpha_i)] for the twisted expansion F of f."""
-    field = params.field
-    full = expand_twisted(field, params.twist, f)
-    return [field.mul(vi, poly_eval(field, full, ai))
-            for ai, vi in zip(params.alpha, params.v)]
 
 
 def generator_matrix(params: GTRSParams) -> Matrix:
     """k x n generator whose rows encode the standard basis: row i is
     v * alpha^i, plus v * eta * alpha^(k-1+t) for each twist hooked on i.
-    Raises when the rank drops below k, as on repeated locators."""
+    Its rank is k for every datum GTRSParams accepts, so none is checked:
+    the basis polynomials' parts below x^k form the identity, every degree
+    is at most k-1+t <= n-1, and evaluation at n distinct locators, then
+    scaling by nonzero multipliers, is injective on degrees below n."""
     field = params.field
     mul, add = field.mul, field.add
     k, tw = params.k, params.twist
@@ -165,31 +139,17 @@ def generator_matrix(params: GTRSParams) -> Matrix:
     for t, h, e in zip(tw.t, tw.h, tw.eta):
         rows[h] = [add(x, mul(e, y))
                    for x, y in zip(rows[h], powers[k - 1 + t])]
-    mat = Matrix(field, [[mul(vj, x) for vj, x in zip(params.v, row)]
-                         for row in rows], cols=params.n)
-    if mat.rank() != k:
-        raise GTRSError("degenerate twist configuration: generator rank below k")
-    return mat
+    return Matrix(field, [[mul(vj, x) for vj, x in zip(params.v, row)]
+                          for row in rows], cols=params.n)
 
 
 def code(params: GTRSParams) -> LinearCode:
-    return LinearCode(params.field, generator_matrix(params))
+    return LinearCode(generator_matrix(params))
 
 
 # ---------------------------------------------------------------------------
 # Dual datum for multiplicative-subgroup locators
 # ---------------------------------------------------------------------------
-
-def dual_parity_matrix(params: GTRSParams) -> Matrix:
-    """(n-k) x n parity-check matrix for multiplicative-subgroup locators:
-    the generator matrix of `dual_params(params)`, which is
-    [I | J_{n-k} (-L^T) J_k] V_n(alpha) diag(alpha / n) diag(v)^{-1}."""
-    dual = dual_params(params)
-    try:
-        return generator_matrix(dual)
-    except GTRSError as exc:
-        raise InvariantError("closed-form parity matrix is rank deficient") from exc
-
 
 def dual_params(params: GTRSParams) -> GTRSParams:
     """The dual code's datum for multiplicative-subgroup locators: dimension

@@ -22,7 +22,7 @@ from itertools import product
 
 from .codes import LinearCode
 from .field import GaloisField, InvariantError
-from .gtrs import (GTRSError, GTRSParams, alpha_sum, generator_matrix,
+from .gtrs import (GTRSError, GTRSParams, alpha_sum, code, generator_matrix,
                    is_mds_plus, plus_gtrs, u_vector)
 from .linalg import echelon
 
@@ -59,7 +59,7 @@ def check_self_dual_criterion(params: GTRSParams) -> LinearCode | None:
     if denom == 0:
         raise GTRSError("excluded eta: 1 + a*eta = 0")
 
-    lin = LinearCode(field, generator_matrix(params))
+    lin = code(params)
     gram_ok = lin.is_hermitian_self_dual()
 
     # polynomial route: every target column lies in the column space of the
@@ -110,8 +110,8 @@ def classify_eta(field: GaloisField, alpha, eta: int) -> str:
     `is_mds_plus` runs only for an eta that passes it.
 
     The domain is the self-dual n = 2k codes that the construction
-    families produce; on every swept code exhaustive distance finds no
-    NMDS member with a*eta + 2 != 0 (acceptance criterion 4). For
+    families produce; on every code of both pinned sweep catalogs exact
+    distance finds no NMDS member with a*eta + 2 != 0 (criterion 4). For
     arbitrary locators a*eta + 2 != 0 does not imply MDS; use
     `is_mds_plus` there.
     """
@@ -151,7 +151,7 @@ class ConstructionResult:
 
     def codes(self):
         for eta, label in self.eta_list:
-            yield eta, label, LinearCode(self.field, generator_matrix(self.params(eta)))
+            yield eta, label, code(self.params(eta))
 
     def to_dict(self) -> dict:
         f = self.field
@@ -343,7 +343,7 @@ def sweep_constructions(field: GaloisField, n_values=None,
     results = []
     seen = set()
     memo = {}
-    for n in sorted(n_values):
+    for n in sorted(set(n_values)):     # a repeated length is swept once
         if n % 2 or n < 2 or n > q:
             raise ConstructionError(f"invalid sweep length {n}")
         for x in canonical_x_subsets(field, n):

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from gtrscodes import (DEFAULT_DISTANCE_CAP, DistanceCapExceeded, GaloisField,
-                       LinearCode, Matrix, quadratic_extension,
-                       sweep_constructions)
+                       GTRSError, LinearCode, Matrix, poly_eval,
+                       quadratic_extension, sweep_constructions)
 
 
 @functools.lru_cache(maxsize=None)
@@ -25,7 +25,7 @@ def proportional_rows_code(field):
     proportional, so row 1 - 3 row 0 weighs 2."""
     a = [[1, 2, 3], [3, 6, 2], [8, 9, 10], [11, 20, 30], [40, 41, 42]]
     rows = [[int(i == j) for j in range(5)] + a[i] for i in range(5)]
-    return LinearCode(field, Matrix(field, rows))
+    return LinearCode(Matrix(field, rows))
 
 
 def exhaustive_min_distance(code, cap: int = DEFAULT_DISTANCE_CAP) -> int:
@@ -55,17 +55,21 @@ def exhaustive_min_distance(code, cap: int = DEFAULT_DISTANCE_CAP) -> int:
     return best
 
 
-def exhaustive_class(code, cap: int = DEFAULT_DISTANCE_CAP) -> str:
-    """MDS / AMDS / NMDS / other by exhaustive enumeration: the minimum
-    distance, plus the dual distance when d = n - k.  The oracle for
-    `LinearCode.classify`, which decides from column ranks."""
-    d = exhaustive_min_distance(code, cap)
+def distance_class(code, distance) -> str:
+    """MDS / AMDS / NMDS / other from distance(code), the minimum distance,
+    plus distance(dual) when d = n - k."""
+    d = distance(code)
     if d == code.n - code.k + 1:
         return "MDS"
     if d == code.n - code.k:
-        dual_d = exhaustive_min_distance(code.dual_euclidean(), cap)
-        return "NMDS" if dual_d == code.k else "AMDS"
+        return "NMDS" if distance(code.dual_euclidean()) == code.k else "AMDS"
     return "other"
+
+
+def exhaustive_class(code) -> str:
+    """The class by exhaustive enumeration: the oracle for
+    `LinearCode.classify`, which decides from column ranks."""
+    return distance_class(code, exhaustive_min_distance)
 
 
 def subset_class(code) -> str:
@@ -113,9 +117,33 @@ def reference_rref(field, rows, cols):
     return tuple(map(tuple, a)), r, tuple(pivots)
 
 
-# The product forms of the GTRS matrices for subgroup locators, written out
-# on plain row lists so that they share no code with `Matrix`: the oracles
-# for `generator_matrix` and `dual_parity_matrix`.
+# The GTRS map stated twice more, on plain lists, as oracles for
+# `generator_matrix`: entrywise, as the twisted expansion of a message
+# evaluated at the locators, and, for subgroup locators, as the product
+# forms of the generator and of the dual datum's generator.
+
+def expand_twisted(field, twist, f):
+    """Full coefficient list (length n) of the twisted polynomial with base
+    coefficients f."""
+    f = list(f)
+    if len(f) != twist.k:
+        raise GTRSError(f"expected {twist.k} coefficients, got {len(f)}")
+    out = [0] * twist.n
+    for i, c in enumerate(f):
+        out[i] = field.check(c)
+    for t, h, e in zip(twist.t, twist.h, twist.eta):
+        d = twist.k - 1 + t
+        out[d] = field.add(out[d], field.mul(e, f[h]))
+    return out
+
+
+def encode(params, f):
+    """Codeword [v_i * F(alpha_i)] for the twisted expansion F of f."""
+    field = params.field
+    full = expand_twisted(field, params.twist, f)
+    return [field.mul(vi, poly_eval(field, full, ai))
+            for ai, vi in zip(params.alpha, params.v)]
+
 
 def _product(field, a, b):
     mul, add = field.mul, field.add

@@ -7,7 +7,6 @@ import random
 import time
 
 from gtrscodes import (
-    GTRSError,
     GTRSParams,
     LinearCode,
     TwistSpec,
@@ -16,7 +15,6 @@ from gtrscodes import (
     classify_eta,
     code,
     dual_params,
-    dual_parity_matrix,
     generator_matrix,
     is_mds_plus,
     plus_dual_euclidean,
@@ -25,8 +23,8 @@ from gtrscodes import (
 )
 from gtrscodes.reference import verify_reference_rows
 
-from conftest import (exhaustive_class, field_q2, inverse_vandermonde_identity,
-                      sweep_cache)
+from conftest import (distance_class, exhaustive_class, field_q2,
+                      inverse_vandermonde_identity, sweep_cache)
 
 MESSAGE_CAP = 1 << 24
 
@@ -103,22 +101,26 @@ def test_criterion_4_classification_vs_brute_force():
     # char 3), yet eta*0 and eta*1 both differ from -1, so d = 2 = n-k+1.
     # The missing hypothesis is that some k-subset attains the half-sum
     # a/2 = -1/eta; classify_eta checks it, and now labels that instance
-    # MDS.  This check holds the label to exhaustive distance in both
-    # directions on every construction code under the cap.
+    # MDS.  This check holds the label to distance in both directions on
+    # every code of both pinned catalogs (odd q = 3..13 and even q = 2..16):
+    # exhaustive distance under the message cap, and past it the
+    # information-set distance of C and of its dual.  LinearCode.classify
+    # must agree with the label too.
     t0 = time.time()
-    checked = skipped = 0
-    nmds_rule_violations = mds_rule_violations = 0
+    checked = enumerated = 0
+    nmds_rule_violations = mds_rule_violations = classify_disagreements = 0
     first = None
-    for q in (3, 5, 7, 9, 11, 13):
+    for q in (3, 5, 7, 9, 11, 13, 2, 4, 8, 16):
         f = field_q2(q)
         for res in sweep_cache(q):
-            if f.order ** res.k > MESSAGE_CAP:
-                skipped += 1
-                continue
+            exhaustive = f.order ** res.k <= MESSAGE_CAP
             for eta, _lbl, c in res.codes():
                 checked += 1
+                enumerated += exhaustive
                 want = classify_eta(f, res.alpha, eta)
-                got = exhaustive_class(c)
+                classify_disagreements += c.classify() != want
+                got = (exhaustive_class(c) if exhaustive
+                       else distance_class(c, LinearCode.min_distance))
                 if got == want:
                     continue
                 if want == "NMDS":
@@ -127,13 +129,17 @@ def test_criterion_4_classification_vs_brute_force():
                         first = (q, res.construction, res.alpha, res.a, eta, got)
                 else:
                     mds_rule_violations += 1
-    detail = (f"{checked} construction codes vs exhaustive distance: "
-              f"MDS direction of the a*eta rule exact "
+    detail = (f"{checked} catalog codes, none skipped ({enumerated} by "
+              f"exhaustive distance, {checked - enumerated} by the distance "
+              f"of C and its dual): MDS direction of the a*eta rule exact "
               f"({mds_rule_violations} violations), NMDS direction fails on "
-              f"{nmds_rule_violations} instances, first {first} "
+              f"{nmds_rule_violations} instances, first {first}; "
+              f"classify disagrees on {classify_disagreements} "
               f"({time.time() - t0:.1f}s)")
-    report(4, checked > 0 and nmds_rule_violations == 0
-           and mds_rule_violations == 0, detail)
+    # 1 337 + 570 rows: the pinned odd-q and even-q sweep catalogs
+    report(4, checked == 1337 + 570 and nmds_rule_violations == 0
+           and mds_rule_violations == 0 and classify_disagreements == 0,
+           detail)
 
 
 def test_criterion_5_subset_criterion_equivalence():
@@ -181,13 +187,12 @@ def test_criterion_6_and_8_group_duality():
             v = [rng.randrange(1, f.order) for _ in range(n)]
             params = GTRSParams(f, alpha, v, twist)
             checked += 1
-            h = dual_parity_matrix(params)
+            h = generator_matrix(dual_params(params))
             g = generator_matrix(params)
             if not g.mul(h.transpose()).is_zero() or h.rank() != n - k:
                 failures += 1
                 continue
-            c = code(params)
-            if not code(dual_params(params)).equals(c.dual_euclidean()):
+            if not LinearCode(h).equals(LinearCode(g).dual_euclidean()):
                 failures += 1
     report(6, checked == 900 and failures == 0,
            f"{checked} random twist configs on 9 subgroups of GF(49)*: "

@@ -125,7 +125,7 @@ def test_verify_builds_one_generator(capsys, tmp_path, gf49, monkeypatch):
 
 
 def test_verify_odd_length(capsys, tmp_path, gf49):
-    code = LinearCode(gf49, Matrix(gf49, [[1, 2, 3]]))
+    code = LinearCode(Matrix(gf49, [[1, 2, 3]]))
     path = write_code(tmp_path, code)
     rc, out, _ = run(capsys, "verify", path)
     assert rc == 1
@@ -137,7 +137,7 @@ def test_verify_odd_length(capsys, tmp_path, gf49):
 def test_verify_over_a_non_square_field_exits_2(capsys, tmp_path, gf7):
     # Hermitian duality is defined only over GF(q^2); GF(7) = GF(7^1)
     for name, obj in (
-            ("raw_3_1", LinearCode(gf7, Matrix(gf7, [[1, 2, 3]]))),
+            ("raw_3_1", LinearCode(Matrix(gf7, [[1, 2, 3]]))),
             ("plus_3_1", plus_gtrs(gf7, [1, 2, 3], [1, 1, 1], 1, 1)),
             ("plus_4_1", plus_gtrs(gf7, [1, 2, 3, 4], [1, 1, 1, 1], 1, 1))):
         path = tmp_path / f"{name}.json"
@@ -151,7 +151,7 @@ def test_verify_over_a_non_square_field_exits_2(capsys, tmp_path, gf7):
 
 def test_classify_repetition(capsys, tmp_path):
     gf9 = field_q2(3)
-    code = LinearCode(gf9, Matrix(gf9, [[1, 1, 1, 1]]))
+    code = LinearCode(Matrix(gf9, [[1, 1, 1, 1]]))
     rc, out, _ = run(capsys, "classify", write_code(tmp_path, code))
     assert rc == 0
     doc = json.loads(out)
@@ -216,7 +216,7 @@ def test_classify_enumerates_only_other_codes(capsys, tmp_path, gf49,
     assert doc["subset_criterion_mds"] is False
     # an 'other' code takes its distance from one enumeration; over the cap
     # the reply keeps the class and gives d = null
-    other = LinearCode(gf49, Matrix(gf49, [[1, 0, 1, 0, 0], [0, 1, 1, 0, 0]]))
+    other = LinearCode(Matrix(gf49, [[1, 0, 1, 0, 0], [0, 1, 1, 0, 0]]))
     path = write_code(tmp_path, other)
     rc, out, _ = run(capsys, "classify", path)
     assert rc == 0 and calls == [2]
@@ -306,7 +306,7 @@ def test_dual_excluded_eta(capsys, tmp_path, gf49):
 
 
 def test_dual_closed_form_needs_datum(capsys, tmp_path, gf49):
-    code = LinearCode(gf49, Matrix(gf49, [[1, 0], [0, 1]]))
+    code = LinearCode(Matrix(gf49, [[1, 0], [0, 1]]))
     rc, _, err = run(capsys, "dual", write_code(tmp_path, code),
                      "--mode", "group-closed-form")
     assert rc == 2
@@ -435,7 +435,7 @@ def test_missing_file(capsys):
 
 
 def test_malformed_inputs_exit_2(capsys, tmp_path, gf7, gf49):
-    good = LinearCode(gf7, Matrix(gf7, [[1, 2, 3], [0, 1, 4]])).to_dict()
+    good = LinearCode(Matrix(gf7, [[1, 2, 3], [0, 1, 4]])).to_dict()
     rank_deficient = dict(good, generator=[good["generator"][0]] * 2)
     ragged = dict(good, generator=[good["generator"][0],
                                    good["generator"][1][:2]])
@@ -669,7 +669,7 @@ def test_json_that_json_load_refuses_exits_2(capsys, tmp_path, text):
 
 
 def test_cap_zero_is_rejected(capsys, tmp_path, gf7):
-    path = write_code(tmp_path, LinearCode(gf7, Matrix(gf7, [[1, 2, 3]])))
+    path = write_code(tmp_path, LinearCode(Matrix(gf7, [[1, 2, 3]])))
     rc, _, err = run(capsys, "classify", path, "--cap", "0")
     assert rc == 2
     assert json.loads(err)["message"] == "caps must be positive"
@@ -686,7 +686,7 @@ def _fuzz_docs():
     f4, f9, f25, f49 = (field_q2(q) for q in (2, 3, 5, 7))
     w = f9.generator
     res = construct_class1(f49, 1, f49.subfield_elements()[:6])
-    raw = LinearCode(f25, Matrix(f25, [[1, 0, 3, 7], [0, 1, 12, 2]]))
+    raw = LinearCode(Matrix(f25, [[1, 0, 3, 7], [0, 1, 12, 2]]))
     return (plus_gtrs(f4, [1, 2, 3], [1, 1, 1], 1, 1).to_dict(),
             plus_gtrs(f9, [f9.pow(w, 2 * i) for i in range(4)], [1, 2, 3, 4],
                       w, 2).to_dict(),

@@ -22,7 +22,7 @@ from gtrscodes import (
 )
 
 from gtrscodes.reference import verify_reference_rows
-from gtrscodes.selfdual import construct_class1, construct_class2
+from gtrscodes.selfdual import construct_class1
 
 from conftest import (exhaustive_class, exhaustive_min_distance, field_q2,
                       proportional_rows_code, subset_class)
@@ -48,18 +48,18 @@ def random_code(field, n, k, rng):
         rows = [[rng.randrange(field.order) for _ in range(n)] for _ in range(k)]
         m = Matrix(field, rows)
         if m.rank() == k:
-            return LinearCode(field, m)
+            return LinearCode(m)
 
 
 def test_constructor_validation(gf7):
     with pytest.raises(CodeError):
-        LinearCode(gf7, Matrix(gf7, [[1, 2], [2, 4]]))  # rank deficient
-    c = LinearCode(gf7, Matrix(gf7, [[1, 2], [0, 1]]))
+        LinearCode(Matrix(gf7, [[1, 2], [2, 4]]))  # rank deficient
+    c = LinearCode(Matrix(gf7, [[1, 2], [0, 1]]))
     assert (c.n, c.k) == (2, 2)
 
 
 def test_dual_euclidean_full_space(gf7):
-    c = LinearCode(gf7, Matrix(gf7, [[1, 0, 0], [0, 1, 0], [0, 0, 1]]))
+    c = LinearCode(Matrix(gf7, [[1, 0, 0], [0, 1, 0], [0, 0, 1]]))
     d = c.dual_euclidean()
     assert d.k == 0 and d.n == 3
     assert d.dual_euclidean().equals(c)
@@ -67,7 +67,7 @@ def test_dual_euclidean_full_space(gf7):
 
 def test_dual_euclidean_repetition(gf7):
     n = 5
-    c = LinearCode(gf7, Matrix(gf7, [[1] * n]))
+    c = LinearCode(Matrix(gf7, [[1] * n]))
     d = c.dual_euclidean()
     assert d.k == n - 1
     # every dual generator row sums to zero
@@ -97,7 +97,7 @@ def test_double_dual_is_the_code(data):
     row = st.lists(st.integers(0, f.order - 1), min_size=n, max_size=n)
     gen = Matrix(f, data.draw(st.lists(row, min_size=k, max_size=k)), cols=n)
     assume(gen.rank() == k)
-    c = LinearCode(f, gen)
+    c = LinearCode(gen)
     for dual, form in ((LinearCode.dual_euclidean, Matrix.transpose),
                        (LinearCode.dual_hermitian, Matrix.conj_transpose)):
         d = dual(c)
@@ -114,11 +114,11 @@ def test_dual_hermitian(gf49, gf7):
         d = c.dual_hermitian()
         assert d.k == 4
         assert c.gen.mul(d.gen.conj_transpose()).is_zero()
-        assert d.equals(LinearCode(gf49, frobenius_image(c.gen)).dual_euclidean())
+        assert d.equals(LinearCode(frobenius_image(c.gen)).dual_euclidean())
     # subfield-entry generator: Hermitian dual coincides with Euclidean
-    sub = LinearCode(gf49, Matrix(gf49, [[1, 2, 3, 4], [0, 1, 5, 6]]))
+    sub = LinearCode(Matrix(gf49, [[1, 2, 3, 4], [0, 1, 5, 6]]))
     assert sub.dual_hermitian().equals(sub.dual_euclidean())
-    plain = LinearCode(gf7, Matrix(gf7, [[1, 0], [0, 1]]))
+    plain = LinearCode(Matrix(gf7, [[1, 0], [0, 1]]))
     from gtrscodes import FieldError
     with pytest.raises(FieldError):
         plain.dual_hermitian()
@@ -127,8 +127,8 @@ def test_dual_hermitian(gf49, gf7):
 def test_is_hermitian_self_dual(gf49):
     from conftest import field_q2
     gf4 = field_q2(2)
-    assert LinearCode(gf4, Matrix(gf4, [[1, 1]])).is_hermitian_self_dual()
-    assert not LinearCode(gf4, Matrix(gf4, [[1, 1, 0]])).is_hermitian_self_dual()
+    assert LinearCode(Matrix(gf4, [[1, 1]])).is_hermitian_self_dual()
+    assert not LinearCode(Matrix(gf4, [[1, 1, 0]])).is_hermitian_self_dual()
     # bundled self-dual instances over GF(49)
     res = construct_class1(gf49, 0, gf49.subfield_elements()[1:])
     for _eta, _label, code in res.codes():
@@ -138,7 +138,7 @@ def test_is_hermitian_self_dual(gf49):
 
 def test_min_distance_repetition(gf9):
     for n in (1, 4, 7):
-        c = LinearCode(gf9, Matrix(gf9, [[1] * n]))
+        c = LinearCode(Matrix(gf9, [[1] * n]))
         assert c.min_distance() == n
 
 
@@ -173,7 +173,7 @@ def test_min_distance_refuses_odd_fields_past_the_table_cap():
     # GF(67^2) has no addition table: a refusal, as for any cap, so that
     # `gtrs classify` still replies with the class
     f = GaloisField(67, 2)
-    c = LinearCode(f, Matrix(f, [[1, 1, 0, 0]]))
+    c = LinearCode(Matrix(f, [[1, 1, 0, 0]]))
     assert c.classify() == "other"
     with pytest.raises(DistanceCapExceeded, match="above 4096 elements"):
         c.min_distance()
@@ -215,7 +215,7 @@ def test_min_distance_and_classify_match_the_oracles():
                     row[j] = row[i]
             if Matrix(field, rows).rank() < k:
                 continue
-            c = LinearCode(field, Matrix(field, rows))
+            c = LinearCode(Matrix(field, rows))
             d = c.min_distance()
             assert d == exhaustive_min_distance(c) == naive_min_distance(c), rows
             assert c.classify() == subset_class(c), rows
@@ -256,7 +256,7 @@ def test_singleton_bound_random(gf9):
 
 
 def test_classify(gf7, gf49):
-    rep = LinearCode(gf7, Matrix(gf7, [[1] * 5]))
+    rep = LinearCode(Matrix(gf7, [[1] * 5]))
     assert rep.classify() == "MDS"
     r = construct_class1(gf49, 1, gf49.subfield_elements()[:6])
     labels = {c.classify() for _, _, c in r.codes()}
@@ -268,16 +268,16 @@ def test_classify(gf7, gf49):
             assert c.dual_euclidean().classify() == "MDS"
     # [4,2,2] over GF(7): columns 2 and 4 are equal, so the dual distance
     # is 2 = k and the code is NMDS
-    nmds = LinearCode(gf7, Matrix(gf7, [[1, 0, 1, 0], [0, 1, 1, 1]]))
+    nmds = LinearCode(Matrix(gf7, [[1, 0, 1, 0], [0, 1, 1, 1]]))
     assert nmds.min_distance() == 2
     assert nmds.classify() == "NMDS"
     # an AMDS-but-not-NMDS example: [4,2,2] with a zero column, dual distance 1
-    amds = LinearCode(gf7, Matrix(gf7, [[1, 0, 1, 0], [0, 1, 1, 0]]))
+    amds = LinearCode(Matrix(gf7, [[1, 0, 1, 0], [0, 1, 1, 0]]))
     assert amds.min_distance() == 2
     assert amds.dual_euclidean().min_distance() == 1
     assert amds.classify() == "AMDS"
     # 'other' example: [5,2,2], far below the Singleton defect-1 line
-    other = LinearCode(gf7, Matrix(gf7, [[1, 0, 1, 0, 0], [0, 1, 1, 0, 0]]))
+    other = LinearCode(Matrix(gf7, [[1, 0, 1, 0, 0], [0, 1, 1, 0, 0]]))
     assert other.classify() == "other"
 
 
@@ -300,7 +300,7 @@ def test_classify_matches_enumeration(gf7, gf9):
                          for _ in range(n)] for _ in range(k)]
                 if Matrix(field, rows).rank() == k:
                     break
-            c = LinearCode(field, Matrix(field, rows))
+            c = LinearCode(Matrix(field, rows))
             label = c.classify()
             assert label == exhaustive_class(c), (field, rows)
             seen.add(label)
@@ -324,18 +324,18 @@ def test_classify_cap_counts_subsets(gf49):
         c.classify(cap=49)
     assert c.classify(cap=50) in {"MDS", "NMDS", "AMDS", "other"}
     with pytest.raises(CodeError):
-        LinearCode(gf49, Matrix(gf49, [], cols=3)).classify()
+        LinearCode(Matrix(gf49, [], cols=3)).classify()
 
 
 def test_codes_equal_and_errors(gf7, gf9):
-    a = LinearCode(gf7, Matrix(gf7, [[1, 2, 3], [0, 1, 1]]))
-    permuted = LinearCode(gf7, Matrix(gf7, [[0, 1, 1], [1, 2, 3]]))
+    a = LinearCode(Matrix(gf7, [[1, 2, 3], [0, 1, 1]]))
+    permuted = LinearCode(Matrix(gf7, [[0, 1, 1], [1, 2, 3]]))
     assert a.equals(permuted)
     assert not a.equals(a.dual_euclidean())
     with pytest.raises(CodeError):
-        a.equals(LinearCode(gf7, Matrix(gf7, [[1, 2]])))
+        a.equals(LinearCode(Matrix(gf7, [[1, 2]])))
     with pytest.raises(CodeError):
-        a.equals(LinearCode(gf9, Matrix(gf9, [[1, 2, 3]])))
+        a.equals(LinearCode(Matrix(gf9, [[1, 2, 3]])))
 
 
 def test_dim_sum(gf49):

@@ -2,21 +2,17 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, reject, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from gtrscodes import (
+    GaloisField,
     GTRSError,
     GTRSParams,
-    InvariantError,
     LinearCode,
-    Matrix,
     TwistSpec,
     alpha_sum,
     code,
     dual_params,
-    dual_parity_matrix,
-    encode,
-    expand_twisted,
     generator_matrix,
     is_mds_plus,
     plus_dual_euclidean,
@@ -25,8 +21,9 @@ from gtrscodes import (
     u_vector,
 )
 
-from conftest import (exhaustive_class, field_q2, flipped_block, l_block,
-                      parity_formula, systematic_generator)
+from conftest import (encode, exhaustive_class, expand_twisted, field_q2,
+                      flipped_block, l_block, parity_formula,
+                      systematic_generator)
 
 
 def subgroup(field, n):
@@ -36,8 +33,8 @@ def subgroup(field, n):
     return [field.pow(w, (order // n) * i) for i in range(n)]
 
 
-def random_twist(field, k, n, rng):
-    ell = rng.randint(1, min(n - k, k))
+def random_twist(field, k, n, rng, ell=None):
+    ell = ell or rng.randint(1, min(n - k, k))
     t = rng.sample(range(1, n - k + 1), ell)
     h = rng.sample(range(k), ell)
     eta = [rng.randrange(1, field.order) for _ in range(ell)]
@@ -111,6 +108,8 @@ def test_generator_matrix_plus_rows(gf49):
 
 
 def test_generator_matrix_full_rank_random():
+    # the rank fact that generator_matrix's docstring proves: k for every
+    # accepted datum, on subgroup locators and on arbitrary distinct ones
     f = field_q2(11)
     rng = random.Random(13)
     for _ in range(20):
@@ -118,23 +117,29 @@ def test_generator_matrix_full_rank_random():
         k = rng.randint(1, n - 1)
         params = random_subgroup_params(f, k, n, rng)
         assert generator_matrix(params).rank() == k
-
-
-def test_generator_matrix_rank_guard(gf9):
-    # the constructor refuses repeated locators; past it, the rank guard
-    # still does
-    params = plus_gtrs(gf9, [1, 2, 3, 4], [1] * 4, 5, 2)
-    object.__setattr__(params, "alpha", (1, 1, 1, 1))
-    with pytest.raises(GTRSError, match="rank below k"):
-        generator_matrix(params)
+    multi_at_n_minus_k = 0
+    for f in (field_q2(2), GaloisField(2, 3), field_q2(3), field_q2(7)):
+        for _ in range(40):
+            n = rng.randint(2, min(f.order, 12))
+            k = rng.randint(1, n - 1)
+            # half the time as many twists as fit, so that t = n - k is
+            # often taken
+            ell = rng.choice([None, min(k, n - k)])
+            alpha = rng.sample(range(f.order), n)
+            v = [rng.randrange(1, f.order) for _ in range(n)]
+            twist = random_twist(f, k, n, rng, ell)
+            multi_at_n_minus_k += twist.ell > 1 and n - k in twist.t
+            params = GTRSParams(f, alpha, v, twist)
+            assert generator_matrix(params).rank() == k
+    assert multi_at_n_minus_k >= 20
 
 
 @pytest.mark.parametrize("q,lengths", [(7, (2, 3, 4, 6, 8, 12, 16, 24)),
                                        (4, (3, 5, 15))])
 def test_structured_forms_match_entrywise(q, lengths):
     # subgroup data over GF(49) and GF(16): the generator equals [I | L] V
-    # diag(v), the parity matrix equals the written-out formula, and the
-    # dual datum's L block is J (-L^T) J
+    # diag(v), the dual datum's generator equals the written-out parity
+    # formula, and the dual datum's L block is J (-L^T) J
     f = field_q2(q)
     rng = random.Random(41 + q)
     for n in lengths:
@@ -142,11 +147,14 @@ def test_structured_forms_match_entrywise(q, lengths):
             k = rng.randint(1, n - 1)
             params = random_subgroup_params(f, k, n, rng)
             assert generator_matrix(params).data == systematic_generator(params)
-            assert dual_parity_matrix(params).data == parity_formula(params)
-            assert l_block(f, dual_params(params).twist) == flipped_block(params)
+            dual = dual_params(params)
+            assert generator_matrix(dual).data == parity_formula(params)
+            assert l_block(f, dual.twist) == flipped_block(params)
 
 
 def test_generator_matches_systematic_form_on_any_locators(gf9):
+    # row i is also the twisted expansion of the i-th unit message
+    # evaluated at the locators (the conftest `encode` oracle)
     rng = random.Random(43)
     for _ in range(60):
         n = rng.randint(2, 9)
@@ -154,13 +162,16 @@ def test_generator_matches_systematic_form_on_any_locators(gf9):
         alpha = rng.sample(range(gf9.order), n)
         v = [rng.randrange(1, gf9.order) for _ in range(n)]
         params = GTRSParams(gf9, alpha, v, random_twist(gf9, k, n, rng))
-        assert generator_matrix(params).data == systematic_generator(params)
+        g = generator_matrix(params)
+        assert g.data == systematic_generator(params)
+        assert [list(row) for row in g.data] == [
+            encode(params, [int(j == i) for j in range(k)]) for i in range(k)]
 
 
 def test_dual_parity_small_case(gf7):
     # n=2, k=1 over GF(7) with alpha = {1, 6}
     params = plus_gtrs(gf7, [1, 6], [1, 1], 2, 1)
-    h = dual_parity_matrix(params)
+    h = generator_matrix(dual_params(params))
     assert h.rows == 1 and h.cols == 2
     g = generator_matrix(params)
     assert g.mul(h.transpose()).is_zero()
@@ -172,24 +183,17 @@ def test_dual_parity_contract(gf49):
         for _ in range(4):
             k = rng.randint(1, n - 1)
             params = random_subgroup_params(gf49, k, n, rng)
-            h = dual_parity_matrix(params)
+            h = generator_matrix(dual_params(params))
             assert h.rank() == n - k
             g = generator_matrix(params)
             assert g.mul(h.transpose()).is_zero()
-            assert LinearCode(gf49, h).equals(code(params).dual_euclidean())
+            assert LinearCode(h).equals(code(params).dual_euclidean())
 
 
 def test_dual_parity_requires_subgroup(gf49):
     params = plus_gtrs(gf49, [1, 2, 3], [1, 1, 1], 5, 1)
-    with pytest.raises(GTRSError):
-        dual_parity_matrix(params)
-
-
-def test_dual_parity_rank_failure_is_an_invariant_error(gf7, monkeypatch):
-    params = plus_gtrs(gf7, [1, 6], [1, 1], 2, 1)
-    monkeypatch.setattr(Matrix, "rank", lambda self: 0)
-    with pytest.raises(InvariantError, match="rank deficient"):
-        dual_parity_matrix(params)
+    with pytest.raises(GTRSError, match="multiplicative subgroup"):
+        generator_matrix(dual_params(params))
 
 
 def test_dual_params_map_and_involution(gf49):
@@ -351,10 +355,7 @@ def test_closed_form_duals_equal_kernel_dual(data):
         eta = data.draw(st.lists(nonzero, min_size=ell, max_size=ell))
         twist = TwistSpec(k, n, t, h, eta)
     params = GTRSParams(f, subgroup(f, n), v, twist)
-    try:
-        kernel = code(params).dual_euclidean()
-    except GTRSError:
-        reject()        # degenerate twist: generator rank below k
+    kernel = code(params).dual_euclidean()
     assert code(dual_params(params)).equals(kernel)
     if twist.is_plus():
         # subgroup locators sum to 0, so 1 + a*eta = 1 is never excluded

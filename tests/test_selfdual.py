@@ -1,4 +1,3 @@
-import random
 from collections import Counter
 
 import pytest
@@ -335,17 +334,11 @@ def test_row_space_keys_match_generator_rref(q):
     assert built > len(memo) > 0
 
 
-def test_row_space_keys_rank_guard(gf49, monkeypatch):
-    # the key builds its codes through generator_matrix, whose rank guard
-    # stops the sweep
-    monkeypatch.setattr(Matrix, "rank", lambda self: 0)
-    with pytest.raises(GTRSError, match="generator rank below k"):
-        sweep_constructions(gf49)
-
-
 def test_sweep_builds_one_generator_per_kept_code(gf49, monkeypatch):
     # one generator per distinct plain form (x subset, plain twist) for the
-    # key, plus one per kept code for the verifier
+    # key, plus one per kept code for the verifier, which makes its code
+    # through gtrs.code
+    import gtrscodes.gtrs as gtrs
     import gtrscodes.selfdual as selfdual
     plain = set()
     for res in built_constructions(gf49):
@@ -360,11 +353,32 @@ def test_sweep_builds_one_generator_per_kept_code(gf49, monkeypatch):
         calls.append(params)
         return generator_matrix(params)
 
+    monkeypatch.setattr(gtrs, "generator_matrix", counted)
     monkeypatch.setattr(selfdual, "generator_matrix", counted)
     results = sweep_constructions(gf49)
     kept = sum(len(r.eta_list) for r in results)
     assert (kept, len(plain)) == (138, 42)
     assert len(calls) == kept + len(plain)
+
+
+def test_sweep_builds_a_repeated_length_once(gf49, monkeypatch):
+    # every value is still checked: a bad length among repeats is refused
+    import gtrscodes.selfdual as selfdual
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _build(*args)
+
+    monkeypatch.setattr(selfdual, "_build", counted)
+    once = sweep_constructions(gf49, [4])
+    built = len(calls)
+    assert built == 112
+    twice = sweep_constructions(gf49, [4, 4])
+    assert len(calls) == 2 * built
+    assert [r.to_dict() for r in twice] == [r.to_dict() for r in once]
+    with pytest.raises(ConstructionError, match="invalid sweep length 5"):
+        sweep_constructions(gf49, [4, 4, 5])
 
 
 def plain_code(field, res, eta):
@@ -386,7 +400,7 @@ def plain_code(field, res, eta):
     else:
         last = [field.pow(xi, k) for xi in res.x_subset]
     rows.append([field.mul(vi, y) for vi, y in zip(res.v, last)])
-    return LinearCode(field, Matrix(field, rows, cols=res.n)), denom == 0
+    return LinearCode(Matrix(field, rows, cols=res.n)), denom == 0
 
 
 @settings(max_examples=150, deadline=None)
