@@ -257,8 +257,9 @@ def cmd_sweep(args) -> int:
         for res in results:
             subset_key = ",".join(str(x) for x in res.x_subset)
             for eta, label in res.eta_list:
-                # construction ran both self-duality routes on every listed
-                # eta and raises unless both held
+                # the sweep ran the polynomial route on every listed eta and
+                # the Gram test once per distinct code, and raises unless
+                # both held
                 rows.append({
                     "q": q, "n": res.n, "class": res.construction,
                     "a_l": res.a_l, "m": res.m if res.m is not None else "",

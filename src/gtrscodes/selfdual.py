@@ -41,13 +41,13 @@ def check_self_dual_criterion(params: GTRSParams) -> LinearCode | None:
     routes decide, and they must agree:
 
     (i)  Gram route: G conj(G)^T = 0 with n = 2k;
-    (ii) polynomial route: for every basis polynomial f, the point values
-         v_i^{q+1} f(alpha_i)^q / u_i are interpolated by some g of the
-         constrained dual shape
+    (ii) polynomial route (`_routes_agree`): for every basis polynomial f,
+         the point values v_i^{q+1} f(alpha_i)^q / u_i are interpolated by
+         some g of the constrained dual shape
          g = sum_{i<k-1} g_i x^i + g_{k-1} (x^{k-1} - eta/(1+a*eta) x^k).
     """
     field = params.field
-    q = field._require_square()
+    field._require_square()
     if not params.twist.is_plus():
         raise GTRSError("criterion applies to the single-twist family")
     n, k = params.n, params.k
@@ -55,16 +55,23 @@ def check_self_dual_criterion(params: GTRSParams) -> LinearCode | None:
         raise GTRSError("n odd" if n % 2 else "criterion requires n = 2k")
     eta = params.twist.eta[0]
     a = alpha_sum(field, params.alpha)
-    denom = field.add(1, field.mul(a, eta))
-    if denom == 0:
+    if field.add(1, field.mul(a, eta)) == 0:
         raise GTRSError("excluded eta: 1 + a*eta = 0")
-
     lin = code(params)
-    gram_ok = lin.is_hermitian_self_dual()
+    return lin if _routes_agree(lin.is_hermitian_self_dual(), params) else None
 
-    # polynomial route: every target column lies in the column space of the
-    # dual-shape basis B, i.e. rank [B | targets] = rank B
-    c = field.div(eta, denom)
+
+def _routes_agree(gram_ok: bool, params: GTRSParams) -> bool:
+    """The polynomial route of `check_self_dual_criterion` on the datum
+    params, validated there: every target column lies in the column space
+    of the dual-shape basis B, i.e. rank [B | targets] = rank B. Returns
+    gram_ok, the Gram verdict on the same code, and raises InvariantError
+    when the two differ."""
+    field = params.field
+    q, k = field.q, params.k
+    eta = params.twist.eta[0]
+    a = alpha_sum(field, params.alpha)
+    c = field.div(eta, field.add(1, field.mul(a, eta)))
     u = u_vector(field, params.alpha)
     rows = []
     for ai, vi, ui in zip(params.alpha, params.v, u):
@@ -82,7 +89,7 @@ def check_self_dual_criterion(params: GTRSParams) -> LinearCode | None:
         raise InvariantError(
             "internal invariant violated: Gram and polynomial self-duality "
             "checks disagree")
-    return lin if gram_ok else None
+    return gram_ok
 
 
 def zeta_roots(field: GaloisField) -> list[int]:
@@ -170,14 +177,26 @@ class ConstructionResult:
         }
 
 
-def _finished(res: ConstructionResult) -> ConstructionResult:
+def _finished(res: ConstructionResult, keys, gram: dict) -> ConstructionResult:
     """Label every listed eta of a built result by `classify_eta` on its
-    own locators, then run both self-duality routes on each."""
+    own locators, then check that each one's code is Hermitian self-dual.
+
+    `keys` holds one key per listed eta, equal exactly when the codes are,
+    and `gram` maps each key already seen to its Gram verdict. The first
+    eta of a key runs the full `check_self_dual_criterion`; a later one
+    runs only the polynomial route on its own datum, against the stored
+    verdict. That verdict is a fact of the code: a generator M*G of the
+    same code has Gram matrix M (G conj(G)^T) conj(M)^T."""
     res = replace(res, eta_list=tuple(
         (eta, classify_eta(res.field, res.alpha, eta))
         for eta, _ in res.eta_list))
-    for eta, _ in res.eta_list:
-        if not check_self_dual_criterion(res.params(eta)):
+    for (eta, _), key in zip(res.eta_list, keys):
+        params = res.params(eta)
+        if key in gram:
+            self_dual = _routes_agree(gram[key], params)
+        else:
+            self_dual = gram[key] = bool(check_self_dual_criterion(params))
+        if not self_dual:
             raise InvariantError("constructed code failed the self-duality criterion")
     return res
 
@@ -198,13 +217,13 @@ def _construct(field: GaloisField, a_l: int, m: int | None,
                x_subset) -> ConstructionResult:
     """One construction through the sweep's two steps, `_x_data` and
     `_build`, after checking the coset label; every listed eta is labelled
-    and verified."""
+    and runs the full criterion (distinct keys, no verdict shared)."""
     field._require_square()
     field.check(a_l)
     if not field.in_subfield(a_l):
         raise ConstructionError("coset label must lie in the subfield")
-    return _finished(_build(field, a_l, m, _x_data(field, x_subset),
-                            zeta_roots(field)))
+    res = _build(field, a_l, m, _x_data(field, x_subset), zeta_roots(field))
+    return _finished(res, range(len(res.eta_list)), {})
 
 
 def _coset(field: GaloisField, a_l: int, m: int | None) -> tuple[int, int]:
@@ -287,8 +306,8 @@ def _build(field: GaloisField, a_l: int, m: int | None, x_data,
 # ---------------------------------------------------------------------------
 
 def _row_space_keys(res: ConstructionResult, memo: dict) -> tuple:
-    """The sorted RREF row-space keys of the codes of every listed eta, equal
-    to sorted `generator_matrix(res.params(eta)).row_space_key()`.
+    """The RREF row-space keys of the codes of the listed etas, in eta
+    order: each equals `generator_matrix(res.params(eta)).row_space_key()`.
 
     With alpha = c + beta * x the code of eta is the plain single-twist code
     on x (same multipliers) with twist beta*eta / (1 + k*c*eta), or with
@@ -307,7 +326,7 @@ def _row_space_keys(res: ConstructionResult, memo: dict) -> tuple:
         if plain not in memo:
             memo[plain] = generator_matrix(res.params(eta)).row_space_key()
         keys.append(memo[plain])
-    return tuple(sorted(keys))
+    return tuple(keys)
 
 
 def canonical_x_subsets(field: GaloisField, n: int) -> list[tuple[int, ...]]:
@@ -329,36 +348,41 @@ def sweep_constructions(field: GaloisField, n_values=None,
     The zeta roots are computed once per call and the `_x_data` of each x
     subset once in its own loop, so each (class, a_l, m) builds only its
     coset locators, B and eta candidates. The built results are
-    deduplicated by their generator row spaces first; only the kept ones
-    are labelled, each from its own locators, and verified, so
-    `classify_eta` and both self-duality routes run once per listed code."""
+    deduplicated by their sorted row-space keys first; only the kept ones
+    are labelled, each from its own locators, and verified by `_finished`
+    with one Gram verdict per distinct code, kept for this call only: the
+    full criterion runs once per distinct code (285 over q = 3..13), and
+    `classify_eta` and the polynomial route once per listed row (1 337)."""
     q = field._require_square()
     if q > 16:
         raise ConstructionError("sweep capped at q <= 16")
+    exponents = {"I": [None], "II": range(1, q + 1)}
+    for cls_name in classes:
+        if cls_name not in exponents:
+            raise ConstructionError(f"unknown class {cls_name!r}")
     if n_values is None:
         n_values = [n for n in range(2, min(q, 8) + 1, 2)]
     sub = field.subfield_elements()
-    exponents = {"I": [None], "II": range(1, q + 1)}
     zetas = zeta_roots(field)
     results = []
     seen = set()
     memo = {}
+    gram = {}
     for n in sorted(set(n_values)):     # a repeated length is swept once
         if n % 2 or n < 2 or n > q:
             raise ConstructionError(f"invalid sweep length {n}")
         for x in canonical_x_subsets(field, n):
             x_data = _x_data(field, x)
             for cls_name in classes:
-                if cls_name not in exponents:
-                    raise ConstructionError(f"unknown class {cls_name!r}")
                 for a_l, m in product(sub, exponents[cls_name]):
                     try:
                         res = _build(field, a_l, m, x_data, zetas)
                     except ConstructionError:
                         continue
-                    key = _row_space_keys(res, memo)
+                    keys = _row_space_keys(res, memo)
+                    key = tuple(sorted(keys))
                     if key in seen:
                         continue
                     seen.add(key)
-                    results.append(_finished(res))
+                    results.append(_finished(res, keys, gram))
     return results

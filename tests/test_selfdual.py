@@ -226,17 +226,36 @@ def test_sweep_q7_contains_row1_family():
     assert all(f.pow(e, 6) == f.neg(1) for e in etas)
 
 
+def count_calls(monkeypatch, module, names):
+    """A Counter of the calls made through each named binding of module."""
+    calls = Counter()
+
+    def counter(name):
+        real = getattr(module, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return real(*args)
+        return counted
+
+    for name in names:
+        monkeypatch.setattr(module, name, counter(name))
+    return calls
+
+
 def test_sweep_verifies_each_kept_code_once(gf49, monkeypatch):
+    # the full criterion runs once per distinct code, the polynomial route
+    # once per row on the row's own datum
     import gtrscodes.selfdual as selfdual
-    calls = []
-
-    def counted(params):
-        calls.append(params)
-        return check_self_dual_criterion(params)
-
-    monkeypatch.setattr(selfdual, "check_self_dual_criterion", counted)
+    calls = count_calls(monkeypatch, selfdual,
+                        ("check_self_dual_criterion", "_routes_agree"))
     results = sweep_constructions(gf49)
-    assert len(calls) == sum(len(r.eta_list) for r in results) > 0
+    codes = {generator_matrix(r.params(eta)).row_space_key()
+             for r in results for eta, _ in r.eta_list}
+    rows = sum(len(r.eta_list) for r in results)
+    assert (len(codes), rows) == (36, 138)
+    assert calls["check_self_dual_criterion"] == len(codes)
+    assert calls["_routes_agree"] == rows
     # a failed check on a kept code still stops the sweep
     monkeypatch.setattr(selfdual, "check_self_dual_criterion",
                         lambda params: False)
@@ -247,30 +266,19 @@ def test_sweep_verifies_each_kept_code_once(gf49, monkeypatch):
 @pytest.mark.parametrize("q", [7, 8])
 def test_sweep_does_x_subset_work_once_per_subset(q, monkeypatch):
     # the multipliers cost one u_vector call per distinct x subset (the
-    # criterion makes one more per check), the zeta roots one call per
+    # polynomial route makes one more per row), the zeta roots one call per
     # sweep, and only the kept codes are labelled
     import gtrscodes.selfdual as selfdual
-    calls = Counter()
-
-    def counter(name):
-        real = getattr(selfdual, name)
-
-        def counted(*args):
-            calls[name] += 1
-            return real(*args)
-        return counted
-
-    for name in ("u_vector", "zeta_roots", "classify_eta",
-                 "check_self_dual_criterion"):
-        monkeypatch.setattr(selfdual, name, counter(name))
+    calls = count_calls(monkeypatch, selfdual, ("u_vector", "zeta_roots",
+                                                "classify_eta", "_routes_agree"))
     field = field_q2(q)
     results = sweep_constructions(field)
     subsets = {x for n in range(2, min(q, 8) + 1, 2)
                for x in canonical_x_subsets(field, n)}
     rows = sum(len(r.eta_list) for r in results)
-    assert calls["u_vector"] - calls["check_self_dual_criterion"] == len(subsets)
+    assert calls["u_vector"] - calls["_routes_agree"] == len(subsets)
     assert calls["zeta_roots"] <= 1
-    assert calls["classify_eta"] == calls["check_self_dual_criterion"] == rows > 0
+    assert calls["classify_eta"] == calls["_routes_agree"] == rows > 0
 
 
 @pytest.mark.parametrize("q", [3, 4, 5, 7, 8, 9, 11, 13])
@@ -314,11 +322,12 @@ def built_constructions(field):
                         pass
 
 
-@pytest.mark.parametrize("q", [3, 4, 5, 8, 9])
+@pytest.mark.parametrize("q", [3, 4, 5, 7, 8, 9])
 def test_row_space_keys_match_generator_rref(q):
     # one memo for every built construction, as in a sweep: most keys then
     # come from another construction's code, so this checks the plain-twist
-    # substitution against the oracle (q = 4 and q = 8 add by XOR)
+    # substitution against the oracle (q = 4 and q = 8 add by XOR); the
+    # sweep shares a Gram verdict by key, so each eta's key must be its own
     memo = {}
     built = 0
     for res in built_constructions(field_q2(q)):
@@ -327,17 +336,16 @@ def test_row_space_keys_match_generator_rref(q):
         for g in gens:
             red, rank, _ = reference_rref(g.field, g.data, g.cols)
             oracle.append(red[:rank])
-        oracle = tuple(sorted(oracle))
-        assert _row_space_keys(res, memo) == oracle
-        assert tuple(sorted(g.row_space_key() for g in gens)) == oracle
+        assert _row_space_keys(res, memo) == tuple(oracle)
+        assert tuple(g.row_space_key() for g in gens) == tuple(oracle)
         built += 1
     assert built > len(memo) > 0
 
 
 def test_sweep_builds_one_generator_per_kept_code(gf49, monkeypatch):
     # one generator per distinct plain form (x subset, plain twist) for the
-    # key, plus one per kept code for the verifier, which makes its code
-    # through gtrs.code
+    # key, plus one per distinct code for the full criterion, which makes
+    # its code through gtrs.code
     import gtrscodes.gtrs as gtrs
     import gtrscodes.selfdual as selfdual
     plain = set()
@@ -356,9 +364,62 @@ def test_sweep_builds_one_generator_per_kept_code(gf49, monkeypatch):
     monkeypatch.setattr(gtrs, "generator_matrix", counted)
     monkeypatch.setattr(selfdual, "generator_matrix", counted)
     results = sweep_constructions(gf49)
-    kept = sum(len(r.eta_list) for r in results)
-    assert (kept, len(plain)) == (138, 42)
-    assert len(calls) == kept + len(plain)
+    monkeypatch.undo()
+    codes = {generator_matrix(r.params(eta)).row_space_key()
+             for r in results for eta, _ in r.eta_list}
+    assert (len(codes), len(plain)) == (36, 42)
+    assert len(calls) == len(codes) + len(plain)
+
+
+def test_sweep_checks_a_repeated_code_on_its_own_datum(gf49, monkeypatch):
+    # a row whose code was verified before takes the stored Gram verdict,
+    # but its own polynomial route still runs: one that disagrees there
+    # stops the sweep
+    import gtrscodes.selfdual as selfdual
+    real_criterion = selfdual.check_self_dual_criterion
+    real_route = selfdual._routes_agree
+    full = []
+    repeated = []
+
+    def criterion(params):
+        full.append(params)
+        try:
+            return real_criterion(params)
+        finally:
+            full.pop()
+
+    def route(gram_ok, params):
+        if full and full[-1] is params:
+            return real_route(gram_ok, params)
+        repeated.append(params)
+        return real_route(not gram_ok, params)
+
+    monkeypatch.setattr(selfdual, "check_self_dual_criterion", criterion)
+    monkeypatch.setattr(selfdual, "_routes_agree", route)
+    with pytest.raises(InvariantError, match="disagree"):
+        sweep_constructions(gf49)
+    assert len(repeated) == 1
+
+
+def test_construct_runs_the_full_criterion_on_every_eta(gf49, monkeypatch):
+    # no verdict is shared between the etas of one construction, nor
+    # between calls
+    import gtrscodes.selfdual as selfdual
+    calls = count_calls(monkeypatch, selfdual,
+                        ("check_self_dual_criterion", "_routes_agree"))
+    listed = 0
+    for build in (lambda: construct_class1(gf49, 1, [0, 1, 2, 3]),
+                  lambda: construct_class2(gf49, 0, 2, [1, 2, 3, 4, 5, 6])):
+        for _ in range(2):
+            listed += len(build().eta_list)
+    assert calls["check_self_dual_criterion"] == calls["_routes_agree"] == listed
+    assert listed > 4
+
+
+def test_sweep_refuses_an_unknown_class_without_lengths():
+    for lengths in ([], [2]):
+        with pytest.raises(ConstructionError, match="unknown class 'III'"):
+            sweep_constructions(field_q2(3), lengths, classes=("III",))
 
 
 def test_sweep_builds_a_repeated_length_once(gf49, monkeypatch):
