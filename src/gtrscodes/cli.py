@@ -257,9 +257,10 @@ def cmd_sweep(args) -> int:
         for res in results:
             subset_key = ",".join(str(x) for x in res.x_subset)
             for eta, label in res.eta_list:
-                # the sweep ran the polynomial route on every listed eta and
-                # the Gram test once per distinct code, and raises unless
-                # both held
+                # the sweep gave every listed eta its own polynomial verdict
+                # (one route call per construction for the repeated codes)
+                # and ran the Gram test once per distinct code, and raises
+                # unless both held
                 rows.append({
                     "q": q, "n": res.n, "class": res.construction,
                     "a_l": res.a_l, "m": res.m if res.m is not None else "",

@@ -38,12 +38,13 @@ class ConstructionError(ValueError):
 def check_self_dual_criterion(params: GTRSParams) -> LinearCode | None:
     """Exact Hermitian self-duality test for a single-twist code: the code
     of params when it is Hermitian self-dual, else None.  Two independent
-    routes decide, and they must agree:
+    routes decide, and they must agree (`InvariantError` otherwise):
 
     (i)  Gram route: G conj(G)^T = 0 with n = 2k;
-    (ii) polynomial route (`_routes_agree`): for every basis polynomial f,
-         the point values v_i^{q+1} f(alpha_i)^q / u_i are interpolated by
-         some g of the constrained dual shape
+    (ii) polynomial route (`_polynomial_route`, here on the one eta of
+         params): for every basis polynomial f, the point values
+         v_i^{q+1} f(alpha_i)^q / u_i are interpolated by some g of the
+         constrained dual shape
          g = sum_{i<k-1} g_i x^i + g_{k-1} (x^{k-1} - eta/(1+a*eta) x^k).
     """
     field = params.field
@@ -58,38 +59,57 @@ def check_self_dual_criterion(params: GTRSParams) -> LinearCode | None:
     if field.add(1, field.mul(a, eta)) == 0:
         raise GTRSError("excluded eta: 1 + a*eta = 0")
     lin = code(params)
-    return lin if _routes_agree(lin.is_hermitian_self_dual(), params) else None
+    gram_ok = lin.is_hermitian_self_dual()
+    [poly_ok] = _polynomial_route(field, params.alpha, params.v, k, [eta])
+    _require_agreement(gram_ok, poly_ok)
+    return lin if gram_ok else None
 
 
-def _routes_agree(gram_ok: bool, params: GTRSParams) -> bool:
-    """The polynomial route of `check_self_dual_criterion` on the datum
-    params, validated there: every target column lies in the column space
-    of the dual-shape basis B, i.e. rank [B | targets] = rank B. Returns
-    gram_ok, the Gram verdict on the same code, and raises InvariantError
-    when the two differ."""
-    field = params.field
-    q, k = field.q, params.k
-    eta = params.twist.eta[0]
-    a = alpha_sum(field, params.alpha)
-    c = field.div(eta, field.add(1, field.mul(a, eta)))
-    u = u_vector(field, params.alpha)
-    rows = []
-    for ai, vi, ui in zip(params.alpha, params.v, u):
-        powers = [field.pow(ai, j) for j in range(k + 1)]
-        base = powers[:k - 1] + [
-            field.sub(powers[k - 1], field.mul(c, powers[k]))]
-        # f(alpha_i) for the twisted expansion of each basis vector
-        vals = powers[:k - 1] + [
-            field.add(powers[k - 1], field.mul(eta, powers[k]))]
-        scale = field.div(field.pow(vi, q + 1), ui)
-        rows.append(base + [field.mul(scale, field.pow(x, q)) for x in vals])
-    poly_ok = (len(echelon(field, rows))
-               == len(echelon(field, [r[:k] for r in rows])))
+def _require_agreement(gram_ok: bool, poly_ok: bool) -> None:
     if gram_ok != poly_ok:
         raise InvariantError(
             "internal invariant violated: Gram and polynomial self-duality "
             "checks disagree")
-    return gram_ok
+
+
+def _polynomial_route(field: GaloisField, alpha, v, k: int,
+                      etas) -> list[bool]:
+    """The polynomial route of `check_self_dual_criterion` for the
+    single-twist data (alpha, v, eta, k), n = 2k and 1 + a*eta != 0, one
+    verdict per listed eta in order: every target column lies in the column
+    space of the dual-shape basis B, i.e. rank [B | targets] = rank B.
+
+    The locator powers up to x^k, their conjugates, u and N(v_i)/u_i do not
+    depend on eta and are computed once; each eta adds its two columns and
+    runs one `echelon` of the n x 2k matrix [B | targets]. Pivots are the
+    first nonzero entries of the echelon rows, so rank B is the number of
+    pivots below k, and the targets lie in the column space of B exactly
+    when no pivot is >= k."""
+    q = field.q
+    mul, add = field.mul, field.add
+    low, last = [], []
+    for ai, vi, ui in zip(alpha, v, u_vector(field, alpha)):
+        ai_q = field.pow(ai, q)
+        powers, conj = [1], [1]
+        for _ in range(k):
+            powers.append(mul(powers[-1], ai))
+            conj.append(mul(conj[-1], ai_q))
+        scale = field.div(field.pow(vi, q + 1), ui)
+        targets = [mul(scale, x) for x in conj]
+        # x^j and N(v_i) conj(x^j) / u_i for j < k - 1, and the parts of
+        # the last two columns that the eta terms join
+        low.append((powers[:k - 1], targets[:k - 1]))
+        last.append((powers[k - 1], powers[k], targets[k - 1], targets[k]))
+    a = alpha_sum(field, alpha)
+    verdicts = []
+    for eta in etas:
+        c = field.div(eta, add(1, mul(a, eta)))
+        eta_q = field.pow(eta, q)
+        rows = [[*base, field.sub(p0, mul(c, p1)),
+                 *tgt, add(t0, mul(eta_q, t1))]
+                for (base, tgt), (p0, p1, t0, t1) in zip(low, last)]
+        verdicts.append(all(p < k for p, _ in echelon(field, rows)))
+    return verdicts
 
 
 def zeta_roots(field: GaloisField) -> list[int]:
@@ -177,27 +197,33 @@ class ConstructionResult:
         }
 
 
-def _finished(res: ConstructionResult, keys, gram: dict) -> ConstructionResult:
+def _finished(res: ConstructionResult, keys,
+              verified: set) -> ConstructionResult:
     """Label every listed eta of a built result by `classify_eta` on its
     own locators, then check that each one's code is Hermitian self-dual.
 
     `keys` holds one key per listed eta, equal exactly when the codes are,
-    and `gram` maps each key already seen to its Gram verdict. The first
-    eta of a key runs the full `check_self_dual_criterion`; a later one
-    runs only the polynomial route on its own datum, against the stored
-    verdict. That verdict is a fact of the code: a generator M*G of the
-    same code has Gram matrix M (G conj(G)^T) conj(M)^T."""
+    and `verified` holds the keys whose code already passed the full
+    criterion. The first eta of a key runs the full
+    `check_self_dual_criterion`; the later ones get their verdicts from one
+    `_polynomial_route` call, each on its own eta, and must agree with the
+    Gram verdict already stored for their code. That verdict is a fact of
+    the code: a generator M*G of the same code has Gram matrix
+    M (G conj(G)^T) conj(M)^T."""
     res = replace(res, eta_list=tuple(
         (eta, classify_eta(res.field, res.alpha, eta))
         for eta, _ in res.eta_list))
+    repeated = []
     for (eta, _), key in zip(res.eta_list, keys):
-        params = res.params(eta)
-        if key in gram:
-            self_dual = _routes_agree(gram[key], params)
+        if key in verified:
+            repeated.append(eta)
+        elif check_self_dual_criterion(res.params(eta)):
+            verified.add(key)
         else:
-            self_dual = gram[key] = bool(check_self_dual_criterion(params))
-        if not self_dual:
             raise InvariantError("constructed code failed the self-duality criterion")
+    if repeated:
+        _require_agreement(True, all(_polynomial_route(
+            res.field, res.alpha, res.v, res.k, repeated)))
     return res
 
 
@@ -223,7 +249,7 @@ def _construct(field: GaloisField, a_l: int, m: int | None,
     if not field.in_subfield(a_l):
         raise ConstructionError("coset label must lie in the subfield")
     res = _build(field, a_l, m, _x_data(field, x_subset), zeta_roots(field))
-    return _finished(res, range(len(res.eta_list)), {})
+    return _finished(res, range(len(res.eta_list)), set())
 
 
 def _coset(field: GaloisField, a_l: int, m: int | None) -> tuple[int, int]:
@@ -350,9 +376,12 @@ def sweep_constructions(field: GaloisField, n_values=None,
     coset locators, B and eta candidates. The built results are
     deduplicated by their sorted row-space keys first; only the kept ones
     are labelled, each from its own locators, and verified by `_finished`
-    with one Gram verdict per distinct code, kept for this call only: the
-    full criterion runs once per distinct code (285 over q = 3..13), and
-    `classify_eta` and the polynomial route once per listed row (1 337)."""
+    with one Gram verdict per distinct code, kept for this call only. Over
+    q = 3..13 the full criterion runs once per distinct code (285),
+    `classify_eta` once per listed row (1 337), and the polynomial route
+    gives one verdict per row (1 337) in 412 calls: one inside each full
+    criterion and one per kept construction with a repeated code. Classes
+    and lengths are checked before anything is built."""
     q = field._require_square()
     if q > 16:
         raise ConstructionError("sweep capped at q <= 16")
@@ -362,15 +391,16 @@ def sweep_constructions(field: GaloisField, n_values=None,
             raise ConstructionError(f"unknown class {cls_name!r}")
     if n_values is None:
         n_values = [n for n in range(2, min(q, 8) + 1, 2)]
+    for n in n_values:
+        if n % 2 or n < 2 or n > q:
+            raise ConstructionError(f"invalid sweep length {n}")
     sub = field.subfield_elements()
     zetas = zeta_roots(field)
     results = []
     seen = set()
     memo = {}
-    gram = {}
+    verified = set()
     for n in sorted(set(n_values)):     # a repeated length is swept once
-        if n % 2 or n < 2 or n > q:
-            raise ConstructionError(f"invalid sweep length {n}")
         for x in canonical_x_subsets(field, n):
             x_data = _x_data(field, x)
             for cls_name in classes:
@@ -384,5 +414,5 @@ def sweep_constructions(field: GaloisField, n_values=None,
                     if key in seen:
                         continue
                     seen.add(key)
-                    results.append(_finished(res, keys, gram))
+                    results.append(_finished(res, keys, verified))
     return results

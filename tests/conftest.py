@@ -6,7 +6,8 @@ import pytest
 
 from gtrscodes import (DEFAULT_DISTANCE_CAP, DistanceCapExceeded, GaloisField,
                        GTRSError, LinearCode, Matrix, poly_eval,
-                       quadratic_extension, sweep_constructions)
+                       quadratic_extension, sweep_constructions, u_vector)
+from gtrscodes.linalg import echelon
 
 
 @functools.lru_cache(maxsize=None)
@@ -115,6 +116,31 @@ def reference_rref(field, rows, cols):
         pivots.append(c)
         r += 1
     return tuple(map(tuple, a)), r, tuple(pivots)
+
+
+def poly_route_oracle(params) -> bool:
+    """The polynomial self-duality route on one single-twist datum, n = 2k
+    and 1 + a*eta != 0, with every power taken by `pow` and the rank test
+    rank [B | targets] = rank B read from two eliminations: the oracle for
+    the sweep's `_polynomial_route`."""
+    field = params.field
+    q, k = field.q, params.k
+    eta = params.twist.eta[0]
+    a = functools.reduce(field.add, params.alpha, 0)
+    c = field.div(eta, field.add(1, field.mul(a, eta)))
+    u = u_vector(field, params.alpha)
+    rows = []
+    for ai, vi, ui in zip(params.alpha, params.v, u):
+        powers = [field.pow(ai, j) for j in range(k + 1)]
+        base = powers[:k - 1] + [
+            field.sub(powers[k - 1], field.mul(c, powers[k]))]
+        # f(alpha_i) for the twisted expansion of each basis vector
+        vals = powers[:k - 1] + [
+            field.add(powers[k - 1], field.mul(eta, powers[k]))]
+        scale = field.div(field.pow(vi, q + 1), ui)
+        rows.append(base + [field.mul(scale, field.pow(x, q)) for x in vals])
+    return (len(echelon(field, rows))
+            == len(echelon(field, [r[:k] for r in rows])))
 
 
 # The GTRS map stated twice more, on plain lists, as oracles for

@@ -1,3 +1,4 @@
+import functools
 import random
 
 import pytest
@@ -171,3 +172,35 @@ def test_declared_cols_must_match_rows(gf7):
     with pytest.raises(LinalgError, match="declared"):
         Matrix(gf7, [[1, 2]], cols=3)
     assert Matrix(gf7, [[1, 2]], cols=2).cols == 2
+
+
+@pytest.mark.parametrize("field", [field_q2(3), field_q2(4)],
+                         ids=["GF9", "GF16"])
+def test_echelon_pivots_read_the_rank_of_a_column_prefix(field):
+    # the one-elimination rank test of the polynomial self-duality route:
+    # no echelon pivot is >= k exactly when the first k columns have the
+    # rank of the whole matrix
+    rng = random.Random(field.order + 1)
+
+    def spanned(m, k, extra):
+        # extra columns that are combinations of the first k, so the test
+        # holds on each of these matrices for the split at k
+        rows = [[rng.randrange(field.order) for _ in range(k)]
+                for _ in range(m)]
+        mix = [[rng.randrange(field.order) for _ in range(extra)]
+               for _ in range(k)]
+        return [r + [functools.reduce(field.add, map(field.mul, r, col), 0)
+                     for col in zip(*mix)] for r in rows], k + extra
+
+    shapes = list(_shapes(field, rng))
+    shapes += [spanned(rng.randint(1, 6), rng.randint(1, 4), rng.randint(1, 4))
+               for _ in range(20)]
+    seen = set()
+    for rows, cols in shapes:
+        pivots = [p for p, _ in echelon(field, rows)]
+        for k in range(cols + 1):
+            prefix = len(echelon(field, [r[:k] for r in rows]))
+            holds = all(p < k for p in pivots)
+            assert holds == (len(pivots) == prefix)
+            seen.add(holds)
+    assert seen == {True, False}

@@ -1,3 +1,5 @@
+import functools
+import random
 from collections import Counter
 
 import pytest
@@ -22,10 +24,11 @@ from gtrscodes import (
     zeta_roots,
 )
 from gtrscodes.linalg import Matrix
-from gtrscodes.selfdual import (_build, _coset, _row_space_keys, _x_data,
-                                canonical_x_subsets)
+from gtrscodes.selfdual import (_build, _coset, _polynomial_route,
+                                _row_space_keys, _x_data, canonical_x_subsets)
 
-from conftest import exhaustive_class, field_q2, reference_rref, sweep_cache
+from conftest import (exhaustive_class, field_q2, poly_route_oracle,
+                      reference_rref, sweep_cache)
 
 
 def test_criterion_on_bundled_instance(gf49):
@@ -227,7 +230,8 @@ def test_sweep_q7_contains_row1_family():
 
 
 def count_calls(monkeypatch, module, names):
-    """A Counter of the calls made through each named binding of module."""
+    """A Counter of the calls made through each named binding of module;
+    for `_polynomial_route` also of its verdicts, under "verdicts"."""
     calls = Counter()
 
     def counter(name):
@@ -235,6 +239,8 @@ def count_calls(monkeypatch, module, names):
 
         def counted(*args):
             calls[name] += 1
+            if name == "_polynomial_route":
+                calls["verdicts"] += len(args[-1])
             return real(*args)
         return counted
 
@@ -243,19 +249,50 @@ def count_calls(monkeypatch, module, names):
     return calls
 
 
+def repeated_rows(results):
+    """Per result, in sweep order, the etas whose code an earlier row of the
+    same sweep already had (by generator RREF)."""
+    seen = set()
+    out = []
+    for res in results:
+        out.append([])
+        for eta, _ in res.eta_list:
+            key = generator_matrix(res.params(eta)).row_space_key()
+            if key in seen:
+                out[-1].append(eta)
+            seen.add(key)
+    return out
+
+
 def test_sweep_verifies_each_kept_code_once(gf49, monkeypatch):
-    # the full criterion runs once per distinct code, the polynomial route
-    # once per row on the row's own datum
+    # the full criterion runs once per distinct code; the polynomial route
+    # gives one verdict per row, on the row's own datum, in one call inside
+    # each full criterion and one per result with a repeated code
     import gtrscodes.selfdual as selfdual
+    real_route = selfdual._polynomial_route
+    routed = Counter()
+
+    def route(field, alpha, v, k, etas):
+        routed.update((alpha, v, eta) for eta in etas)
+        return real_route(field, alpha, v, k, etas)
+
+    monkeypatch.setattr(selfdual, "_polynomial_route", route)
     calls = count_calls(monkeypatch, selfdual,
-                        ("check_self_dual_criterion", "_routes_agree"))
+                        ("check_self_dual_criterion", "_polynomial_route",
+                         "u_vector"))
     results = sweep_constructions(gf49)
     codes = {generator_matrix(r.params(eta)).row_space_key()
              for r in results for eta, _ in r.eta_list}
-    rows = sum(len(r.eta_list) for r in results)
-    assert (len(codes), rows) == (36, 138)
+    rows = Counter((r.alpha, r.v, eta)
+                   for r in results for eta, _ in r.eta_list)
+    with_repeats = sum(map(bool, repeated_rows(results)))
+    assert (len(codes), sum(rows.values()), with_repeats) == (36, 138, 20)
     assert calls["check_self_dual_criterion"] == len(codes)
-    assert calls["_routes_agree"] == rows
+    assert calls["_polynomial_route"] == len(codes) + with_repeats
+    # one u_vector call per x subset (6) and one per route call
+    assert (calls["_polynomial_route"], calls["u_vector"]) == (56, 62)
+    assert calls["verdicts"] == sum(rows.values())
+    assert routed == rows
     # a failed check on a kept code still stops the sweep
     monkeypatch.setattr(selfdual, "check_self_dual_criterion",
                         lambda params: False)
@@ -265,20 +302,22 @@ def test_sweep_verifies_each_kept_code_once(gf49, monkeypatch):
 
 @pytest.mark.parametrize("q", [7, 8])
 def test_sweep_does_x_subset_work_once_per_subset(q, monkeypatch):
-    # the multipliers cost one u_vector call per distinct x subset (the
-    # polynomial route makes one more per row), the zeta roots one call per
+    # the multipliers cost one u_vector call per distinct x subset (each
+    # polynomial route call makes one more), the zeta roots one call per
     # sweep, and only the kept codes are labelled
     import gtrscodes.selfdual as selfdual
-    calls = count_calls(monkeypatch, selfdual, ("u_vector", "zeta_roots",
-                                                "classify_eta", "_routes_agree"))
+    calls = count_calls(monkeypatch, selfdual,
+                        ("u_vector", "zeta_roots", "classify_eta",
+                         "_polynomial_route"))
     field = field_q2(q)
     results = sweep_constructions(field)
     subsets = {x for n in range(2, min(q, 8) + 1, 2)
                for x in canonical_x_subsets(field, n)}
     rows = sum(len(r.eta_list) for r in results)
-    assert calls["u_vector"] - calls["_routes_agree"] == len(subsets)
+    assert calls["u_vector"] - calls["_polynomial_route"] == len(subsets)
     assert calls["zeta_roots"] <= 1
-    assert calls["classify_eta"] == calls["_routes_agree"] == rows > 0
+    assert calls["classify_eta"] == calls["verdicts"] == rows > 0
+    assert calls["_polynomial_route"] < rows
 
 
 @pytest.mark.parametrize("q", [3, 4, 5, 7, 8, 9, 11, 13])
@@ -373,13 +412,12 @@ def test_sweep_builds_one_generator_per_kept_code(gf49, monkeypatch):
 
 def test_sweep_checks_a_repeated_code_on_its_own_datum(gf49, monkeypatch):
     # a row whose code was verified before takes the stored Gram verdict,
-    # but its own polynomial route still runs: one that disagrees there
-    # stops the sweep
+    # but its own polynomial verdict is still read: one repeated row whose
+    # verdict disagrees, the first or the last, stops the sweep
     import gtrscodes.selfdual as selfdual
     real_criterion = selfdual.check_self_dual_criterion
-    real_route = selfdual._routes_agree
+    real_route = selfdual._polynomial_route
     full = []
-    repeated = []
 
     def criterion(params):
         full.append(params)
@@ -388,38 +426,121 @@ def test_sweep_checks_a_repeated_code_on_its_own_datum(gf49, monkeypatch):
         finally:
             full.pop()
 
-    def route(gram_ok, params):
-        if full and full[-1] is params:
-            return real_route(gram_ok, params)
-        repeated.append(params)
-        return real_route(not gram_ok, params)
-
     monkeypatch.setattr(selfdual, "check_self_dual_criterion", criterion)
-    monkeypatch.setattr(selfdual, "_routes_agree", route)
-    with pytest.raises(InvariantError, match="disagree"):
-        sweep_constructions(gf49)
-    assert len(repeated) == 1
+    repeated = sum(map(len, repeated_rows(sweep_constructions(gf49))))
+    assert repeated == 138 - 36
+    for target in (0, repeated - 1):
+        given = []
+
+        def route(field, alpha, v, k, etas):
+            verdicts = real_route(field, alpha, v, k, etas)
+            if full:
+                return verdicts
+            out = [ok != (len(given) + i == target)
+                   for i, ok in enumerate(verdicts)]
+            given.extend(verdicts)
+            return out
+
+        monkeypatch.setattr(selfdual, "_polynomial_route", route)
+        with pytest.raises(InvariantError, match="disagree"):
+            sweep_constructions(gf49)
+        assert target < len(given) and all(given)
 
 
 def test_construct_runs_the_full_criterion_on_every_eta(gf49, monkeypatch):
     # no verdict is shared between the etas of one construction, nor
-    # between calls
+    # between calls: each eta runs the criterion, and with it one polynomial
+    # route call on that eta alone
     import gtrscodes.selfdual as selfdual
     calls = count_calls(monkeypatch, selfdual,
-                        ("check_self_dual_criterion", "_routes_agree"))
+                        ("check_self_dual_criterion", "_polynomial_route"))
     listed = 0
     for build in (lambda: construct_class1(gf49, 1, [0, 1, 2, 3]),
                   lambda: construct_class2(gf49, 0, 2, [1, 2, 3, 4, 5, 6])):
         for _ in range(2):
             listed += len(build().eta_list)
-    assert calls["check_self_dual_criterion"] == calls["_routes_agree"] == listed
+    assert (calls["check_self_dual_criterion"], calls["_polynomial_route"],
+            calls["verdicts"]) == (listed,) * 3
     assert listed > 4
+
+
+@pytest.mark.parametrize("q", [3, 4, 5, 7, 8, 9])
+def test_polynomial_route_matches_the_oracle_on_swept_data(q):
+    # every eta of every construction the sweep builds, kept or not
+    checked = 0
+    for res in built_constructions(field_q2(q)):
+        etas = [eta for eta, _ in res.eta_list]
+        assert (_polynomial_route(res.field, res.alpha, res.v, res.k, etas)
+                == [poly_route_oracle(res.params(eta)) for eta in etas])
+        checked += len(etas)
+    assert checked > 0
+
+
+def random_route_data(field, rng):
+    """Seeded single-twist data with n = 2k: locators on a random line
+    c + beta * x over a subfield subset x, with the multipliers of the
+    construction times norm-1 scalars, or fully random locators and
+    multipliers; each with every eta the route accepts."""
+    q = field.q
+    sub = field.subfield_elements()
+    circle = field.power_roots(q + 1, 1)
+    for trial in range(24):
+        n = rng.randrange(2, min(q, 8) + 1, 2)
+        if trial % 2:
+            alpha = rng.sample(range(field.order), n)
+            v = [rng.randrange(1, field.order) for _ in alpha]
+        else:
+            x = rng.sample(sub, n)
+            c, beta = rng.randrange(field.order), rng.randrange(1, field.order)
+            alpha = [field.add(c, field.mul(beta, xi)) for xi in x]
+            v = [field.mul(field.solve_norm(ui), rng.choice(circle))
+                 for ui in u_vector(field, x)]
+        a = functools.reduce(field.add, alpha, 0)
+        etas = [eta for eta in range(1, field.order)
+                if field.add(1, field.mul(a, eta))]
+        yield alpha, v, n // 2, etas
+
+
+@pytest.mark.parametrize("q", [3, 4, 5, 7, 8])
+def test_polynomial_route_matches_the_oracle_on_random_data(q):
+    field = field_q2(q)
+    verdicts = Counter()
+    for alpha, v, k, etas in random_route_data(field, random.Random(q)):
+        got = _polynomial_route(field, alpha, v, k, etas)
+        assert got == [poly_route_oracle(plus_gtrs(field, alpha, v, eta, k))
+                       for eta in etas]
+        verdicts.update(got)
+    assert verdicts[True] > 0 and verdicts[False] > 0
+
+
+def test_polynomial_route_gives_each_listed_eta_its_own_verdict(gf49):
+    # one call on a list of etas, a repeated one among them, answers as one
+    # call per eta, in the same order
+    res = construct_class1(gf49, 1, [0, 1, 2, 3])
+    good = [eta for eta, _ in res.eta_list]
+    a = res.a
+    bad = [eta for eta in (1, 5, 17) if gf49.add(1, gf49.mul(a, eta))]
+    etas = [good[0], *bad, good[-1], bad[0], good[0]]
+    single = [_polynomial_route(gf49, res.alpha, res.v, res.k, [eta])[0]
+              for eta in etas]
+    assert _polynomial_route(gf49, res.alpha, res.v, res.k, etas) == single
+    assert single == [poly_route_oracle(res.params(eta)) for eta in etas]
+    assert True in single and False in single
 
 
 def test_sweep_refuses_an_unknown_class_without_lengths():
     for lengths in ([], [2]):
         with pytest.raises(ConstructionError, match="unknown class 'III'"):
             sweep_constructions(field_q2(3), lengths, classes=("III",))
+
+
+def test_sweep_refuses_a_bad_length_before_building(gf49, monkeypatch):
+    import gtrscodes.selfdual as selfdual
+    calls = count_calls(monkeypatch, selfdual, ("_build",))
+    for lengths in ([4, 5], [5]):
+        with pytest.raises(ConstructionError, match="invalid sweep length 5"):
+            sweep_constructions(gf49, lengths)
+    assert calls["_build"] == 0
 
 
 def test_sweep_builds_a_repeated_length_once(gf49, monkeypatch):
