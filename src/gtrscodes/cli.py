@@ -38,13 +38,14 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _emit(payload: str, out: str | None):
+    # the payload is completed first, so --out gets the bytes stdout gets
+    if not payload.endswith("\n"):
+        payload += "\n"
     if out:
         with open(out, "w") as fh:
             fh.write(payload)
     else:
         sys.stdout.write(payload)
-        if not payload.endswith("\n"):
-            sys.stdout.write("\n")
 
 
 def _json(obj) -> str:

@@ -202,9 +202,10 @@ def _finished(res: ConstructionResult, keys,
     """Label every listed eta of a built result by `classify_eta` on its
     own locators, then check that each one's code is Hermitian self-dual.
 
-    `keys` holds one key per listed eta, equal exactly when the codes are,
-    and `verified` holds the keys whose code already passed the full
-    criterion. The first eta of a key runs the full
+    `keys` holds one key per listed eta, equal exactly when the codes are:
+    the sweep hands in the `_code_keys` it deduplicated by, and a single
+    construction distinct integers. `verified` holds the keys whose code
+    already passed the full criterion. The first eta of a key runs the full
     `check_self_dual_criterion`; the later ones get their verdicts from one
     `_polynomial_route` call, each on its own eta, and must agree with the
     Gram verdict already stored for their code. That verdict is a fact of
@@ -241,15 +242,23 @@ def construct_class2(field: GaloisField, a_l: int, m: int, x_subset) -> Construc
 
 def _construct(field: GaloisField, a_l: int, m: int | None,
                x_subset) -> ConstructionResult:
-    """One construction through the sweep's two steps, `_x_data` and
-    `_build`, after checking the coset label; every listed eta is labelled
-    and runs the full criterion (distinct keys, no verdict shared)."""
+    """One construction through the sweep's steps, `_x_data`, `_candidates`
+    and `_build`, after checking the coset label; every listed eta is
+    labelled and runs the full criterion (distinct keys, no verdict
+    shared)."""
     field._require_square()
     field.check(a_l)
     if not field.in_subfield(a_l):
         raise ConstructionError("coset label must lie in the subfield")
-    res = _build(field, a_l, m, _x_data(field, x_subset), zeta_roots(field))
+    x_data = _x_data(field, x_subset)
+    cand = _candidates(field, a_l, m, x_data, _zeta_inverses(field))
+    res = _build(field, a_l, m, x_data, cand)
     return _finished(res, range(len(res.eta_list)), set())
+
+
+def _zeta_inverses(field: GaloisField) -> list[int]:
+    """The inverses of `zeta_roots(field)`, in its order."""
+    return [field.inv(z) for z in zeta_roots(field)]
 
 
 def _coset(field: GaloisField, a_l: int, m: int | None) -> tuple[int, int]:
@@ -283,23 +292,27 @@ def _x_data(field: GaloisField, x_subset) -> tuple[tuple[int, ...],
     return x, tuple(field.solve_norm(ui) for ui in u), alpha_sum(field, x)
 
 
-def _build(field: GaloisField, a_l: int, m: int | None, x_data,
-           zetas: list[int]) -> ConstructionResult:
-    """The unlabelled construction on the coset `_coset(field, a_l, m)` with
-    locators c + beta * x_i, for the `_x_data` of an x subset; 1 <= m <= q
-    for class II, and `zetas` = `zeta_roots(field)`. With B = k*c + k*c^q
-    / beta^(q-1) + beta * sum(x), the eta candidates are the zeta roots over
-    B when a and B are nonzero, none for class I in characteristic 2 when
-    only B is zero, and the roots of eta^(q-1) = -beta^-(q-1) otherwise.
-    Every listed eta carries the label None until `_finished`."""
+def _candidates(field: GaloisField, a_l: int, m: int | None, x_data,
+                zinv: list[int]) -> tuple[int, int, int, list[int], int]:
+    """The eta candidates of the construction on the coset
+    `_coset(field, a_l, m)` with locators c + beta * x_i, for the `_x_data`
+    of an x subset; 1 <= m <= q for class II, and `zinv` =
+    `_zeta_inverses(field)`. Returns (c, beta, a, inverses, filtered): the
+    locator sum a = n*c + beta * sum(x), the inverses of the kept etas in
+    eta order, and the number of candidates dropped by 1 + a*eta = 0, which
+    is eta^-1 = -a. No locator is built.
+
+    With B = k*c + k*c^q / beta^(q-1) + beta * sum(x), the candidates are
+    the zeta roots over B when a and B are nonzero (eta^-1 = B * z^-1),
+    none for class I in characteristic 2 when only B is zero, and the roots
+    of eta^(q-1) = -beta^-(q-1) otherwise."""
     q = field.q
-    x, v, sum_x = x_data
+    x, _, sum_x = x_data
     n = len(x)
     if m is not None and not 1 <= m <= q:
         raise ConstructionError(f"m must lie in [1, {q}]")
     c, beta = _coset(field, a_l, m)
-    alpha = tuple(field.add(c, field.mul(beta, xi)) for xi in x)
-    a = alpha_sum(field, alpha)
+    a = field.add(field.mul(field.scalar(n), c), field.mul(beta, sum_x))
     if a == 0 and field.p == 2:
         raise ConstructionError(
             "locator sum zero in characteristic 2 is excluded")
@@ -313,46 +326,74 @@ def _build(field: GaloisField, a_l: int, m: int | None, x_data,
                       field.div(field.mul(k, field.frobenius(c)), beta_q1)),
             field.mul(beta, sum_x))
     if big_b != 0:
-        inv_b = field.inv(big_b)
-        candidates = [field.mul(z, inv_b) for z in zetas]
+        inverses = [field.mul(big_b, zi) for zi in zinv]
     elif a != 0 and m is None and field.p == 2:
-        candidates = []
+        inverses = []
     else:
-        candidates = field.power_roots(q - 1, field.neg(field.inv(beta_q1)))
-    kept = [eta for eta in candidates if field.add(1, field.mul(a, eta)) != 0]
+        inverses = [field.inv(eta) for eta in field.power_roots(
+            q - 1, field.neg(field.inv(beta_q1)))]
+    neg_a = field.neg(a)
+    kept = [e for e in inverses if e != neg_a]
     if not kept:
         raise ConstructionError("no admissible eta candidates for this input")
+    return c, beta, a, kept, len(inverses) - len(kept)
+
+
+def _build(field: GaloisField, a_l: int, m: int | None, x_data,
+           cand) -> ConstructionResult:
+    """The unlabelled construction of a `_candidates` step `cand`: locators
+    c + beta * x_i and eta = 1 / eta^-1 for each kept inverse, in order.
+    Every listed eta carries the label None until `_finished`."""
+    x, v, _ = x_data
+    c, beta, a, inverses, filtered = cand
+    alpha = tuple(field.add(c, field.mul(beta, xi)) for xi in x)
     return ConstructionResult("I" if m is None else "II", field, a_l, m, x,
-                              alpha, v, a, tuple((eta, None) for eta in kept),
-                              len(candidates) - len(kept))
+                              alpha, v, a,
+                              tuple((field.inv(e), None) for e in inverses),
+                              filtered)
 
 
 # ---------------------------------------------------------------------------
 # Sweeps
 # ---------------------------------------------------------------------------
 
-def _row_space_keys(res: ConstructionResult, memo: dict) -> tuple:
-    """The RREF row-space keys of the codes of the listed etas, in eta
-    order: each equals `generator_matrix(res.params(eta)).row_space_key()`.
+def _code_keys(field: GaloisField, x_data, cand, memo: dict) -> list:
+    """The RREF row-space keys of the codes of the kept etas of a
+    `_candidates` step `cand`, in eta order: each equals
+    `generator_matrix(res.params(eta)).row_space_key()` for the result
+    `_build` makes of the step.
 
-    With alpha = c + beta * x the code of eta is the plain single-twist code
-    on x (same multipliers) with twist beta*eta / (1 + k*c*eta), or with
-    last row v * x^k when that denominator is 0: modulo the rows of degree
-    below k - 1, alpha^(k-1) + eta*alpha^k is beta^(k-1) ((1 + k*c*eta)
-    x^(k-1) + beta*eta x^k). `memo` maps each plain form (x, twist or None)
-    to the key of the first code built for it."""
-    f = res.field
-    c, beta = _coset(f, res.a_l, res.m)
-    kc = f.mul(f.scalar(res.k), c)
+    With alpha = c + beta * x, the rows v * alpha^j (j < k - 1) span the
+    same space as the rows v * x^j, and modulo them alpha^(k-1) + eta *
+    alpha^k is beta^(k-1) ((1 + k*c*eta) x^(k-1) + beta*eta x^k). Divided
+    by beta^k * eta, the last row is v * (sigma x^(k-1) + x^k) with
+
+        sigma = (1 + k*c*eta) / (beta*eta) = (eta^-1 + k*c) / beta,
+
+    one add and one multiply per candidate. On one x subset sigma names the
+    code injectively: if two values gave one code, v * x^(k-1) would lie in
+    it, and a nonzero polynomial of degree <= k < n would vanish on the n
+    distinct x_i. sigma = 0 is exactly 1 + k*c*eta = 0,
+    the last row v * x^k; any other sigma is the inverse of the plain twist
+    beta*eta / (1 + k*c*eta). `memo` maps each (x, sigma) to the key of
+    the first code built for it, from that construction's own locators and
+    eta; equal codes on distinct x subsets still get equal keys."""
+    mul, add = field.mul, field.add
+    x, v, _ = x_data
+    c, beta, _, inverses, _ = cand
+    k = len(x) // 2
+    kc = mul(field.scalar(k), c)
+    beta_inv = field.inv(beta)
     keys = []
-    for eta, _ in res.eta_list:
-        denom = f.add(1, f.mul(kc, eta))
-        plain = (res.x_subset,
-                 f.div(f.mul(beta, eta), denom) if denom else None)
-        if plain not in memo:
-            memo[plain] = generator_matrix(res.params(eta)).row_space_key()
-        keys.append(memo[plain])
-    return tuple(keys)
+    for inv_eta in inverses:
+        plain = (x, mul(add(inv_eta, kc), beta_inv))
+        key = memo.get(plain)
+        if key is None:
+            alpha = tuple(add(c, mul(beta, xi)) for xi in x)
+            key = memo[plain] = generator_matrix(plus_gtrs(
+                field, alpha, v, field.inv(inv_eta), k)).row_space_key()
+        keys.append(key)
+    return keys
 
 
 def canonical_x_subsets(field: GaloisField, n: int) -> list[tuple[int, ...]]:
@@ -371,17 +412,20 @@ def sweep_constructions(field: GaloisField, n_values=None,
     """Enumerate both families over all coset labels (and direction exponents
     for class II) with canonical x subsets; deterministic output order.
 
-    The zeta roots are computed once per call and the `_x_data` of each x
-    subset once in its own loop, so each (class, a_l, m) builds only its
-    coset locators, B and eta candidates. The built results are
-    deduplicated by their sorted row-space keys first; only the kept ones
-    are labelled, each from its own locators, and verified by `_finished`
-    with one Gram verdict per distinct code, kept for this call only. Over
-    q = 3..13 the full criterion runs once per distinct code (285),
+    The zeta roots and their inverses are computed once per call and the
+    `_x_data` of each x subset once in its own loop, so each (class, a_l, m)
+    runs only the `_candidates` step: a, B and the inverses of its etas.
+    `_code_keys` keys each candidate by (x, sigma) and builds a generator
+    only for a new plain form. The steps are deduplicated by their sorted
+    row-space keys; only the kept ones are materialized by `_build`,
+    labelled, each from its own locators, and verified by `_finished` with
+    the keys already computed and one Gram verdict per distinct code, kept
+    for this call only. Over q = 3..13, 3 712 steps hold 39 400 candidates
+    and 157 are kept; the full criterion runs once per distinct code (285),
     `classify_eta` once per listed row (1 337), and the polynomial route
     gives one verdict per row (1 337) in 412 calls: one inside each full
     criterion and one per kept construction with a repeated code. Classes
-    and lengths are checked before anything is built."""
+    and lengths are checked before any step runs."""
     q = field._require_square()
     if q > 16:
         raise ConstructionError("sweep capped at q <= 16")
@@ -395,7 +439,7 @@ def sweep_constructions(field: GaloisField, n_values=None,
         if n % 2 or n < 2 or n > q:
             raise ConstructionError(f"invalid sweep length {n}")
     sub = field.subfield_elements()
-    zetas = zeta_roots(field)
+    zinv = _zeta_inverses(field)
     results = []
     seen = set()
     memo = {}
@@ -406,13 +450,14 @@ def sweep_constructions(field: GaloisField, n_values=None,
             for cls_name in classes:
                 for a_l, m in product(sub, exponents[cls_name]):
                     try:
-                        res = _build(field, a_l, m, x_data, zetas)
+                        cand = _candidates(field, a_l, m, x_data, zinv)
                     except ConstructionError:
                         continue
-                    keys = _row_space_keys(res, memo)
+                    keys = _code_keys(field, x_data, cand, memo)
                     key = tuple(sorted(keys))
                     if key in seen:
                         continue
                     seen.add(key)
-                    results.append(_finished(res, keys, verified))
+                    results.append(_finished(
+                        _build(field, a_l, m, x_data, cand), keys, verified))
     return results

@@ -371,6 +371,16 @@ def test_full_sweep_catalog_pinned(capsys):
         "1ee350672ea71430d4c5bccc86d3767b11218783a033039d71db51d6011385fd")
 
 
+def test_default_format_sweep_catalog_pinned(capsys):
+    # JSON is the sweep's default format; the same rows as the CSV pin
+    rc, out, _ = run(capsys, "sweep", "--q", "3", "5", "7", "9", "11", "13",
+                     "--class", "both")
+    assert rc == 0 and len(out.encode()) == 303248
+    assert len(json.loads(out)["rows"]) == 1337
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "a56048da087e6a58f277521219f1f33f0bdcc5b40f8aea0d870273cabc331aab")
+
+
 def test_even_q_sweep_catalog_pinned(capsys):
     # the only pinned catalog in characteristic 2; it reaches the class I
     # configurations with a != 0 and B = 0, which list no eta
@@ -413,6 +423,29 @@ def test_sweep_n_follows_the_library_length_rule(capsys):
         rc, out, err = run(capsys, "sweep", "--q", "7", "--n", *lengths)
         assert (rc, out) == (2, "")
         assert json.loads(err)["message"] == "invalid sweep length 3"
+
+
+def test_out_file_gets_the_bytes_stdout_gets(capsys, tmp_path, gf49):
+    # every command with --out writes exactly what it prints without it,
+    # final newline included; CSV as well as JSON
+    res = construct_class1(gf49, 0, gf49.subfield_elements()[1:])
+    eta = res.eta_list[0][0]
+    datum = write_params(tmp_path, res.params(eta))
+    requests = [
+        ("construct", "--class", "I", "--q", "7", "--n", "6", "--al", "0",
+         "--x", "1,2,3,4,5,6"),
+        ("verify", datum),
+        ("classify", datum),
+        ("dual", datum, "--mode", "hermitian"),
+        ("sweep", "--q", "3"),
+        ("sweep", "--q", "3", "--format", "csv"),
+    ]
+    for i, argv in enumerate(requests):
+        rc, printed, _ = run(capsys, *argv)
+        assert rc == 0 and printed.endswith("\n")
+        path = tmp_path / f"out{i}"
+        assert run(capsys, *argv, "--out", str(path)) == (rc, "", "")
+        assert path.read_bytes() == printed.encode()
 
 
 def test_reference_command(capsys):

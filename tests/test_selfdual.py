@@ -24,8 +24,9 @@ from gtrscodes import (
     zeta_roots,
 )
 from gtrscodes.linalg import Matrix
-from gtrscodes.selfdual import (_build, _coset, _polynomial_route,
-                                _row_space_keys, _x_data, canonical_x_subsets)
+from gtrscodes.selfdual import (_build, _candidates, _code_keys, _coset,
+                                _polynomial_route, _x_data, _zeta_inverses,
+                                canonical_x_subsets)
 
 from conftest import (exhaustive_class, field_q2, poly_route_oracle,
                       reference_rref, sweep_cache)
@@ -344,56 +345,88 @@ def test_sweep_labels_follow_each_rows_own_locators(q):
     assert labels["NMDS"] > 0 or q in (3, 4, 8)
 
 
-def built_constructions(field):
-    """Every unlabelled result the sweep's builder yields over GF(q^2), kept
-    or not."""
+def candidate_steps(field):
+    """Every (a_l, m, x_data, step) that the sweep's candidate step accepts
+    over GF(q^2), the constructions it keeps or not."""
     q = field.q
     sub = field.subfield_elements()
-    zetas = zeta_roots(field)
+    zinv = _zeta_inverses(field)
     for n in range(2, min(q, 8) + 1, 2):
         for x in canonical_x_subsets(field, n):
             x_data = _x_data(field, x)
             for a_l in sub:
                 for m in [None, *range(1, q + 1)]:
                     try:
-                        yield _build(field, a_l, m, x_data, zetas)
+                        cand = _candidates(field, a_l, m, x_data, zinv)
                     except ConstructionError:
-                        pass
+                        continue
+                    yield a_l, m, x_data, cand
+
+
+def built_constructions(field):
+    """Every unlabelled result of an accepted candidate step, kept or not."""
+    for a_l, m, x_data, cand in candidate_steps(field):
+        yield _build(field, a_l, m, x_data, cand)
+
+
+def sigma(field, a_l, m, k, inv_eta):
+    """The key value (eta^-1 + k*c) / beta of one candidate on the coset
+    c + beta * GF(q) of (a_l, m)."""
+    c, beta = _coset(field, a_l, m)
+    kc = field.mul(field.scalar(k), c)
+    return field.div(field.add(inv_eta, kc), beta)
 
 
 @pytest.mark.parametrize("q", [3, 4, 5, 7, 8, 9])
 def test_row_space_keys_match_generator_rref(q):
-    # one memo for every built construction, as in a sweep: most keys then
-    # come from another construction's code, so this checks the plain-twist
-    # substitution against the oracle (q = 4 and q = 8 add by XOR); the
-    # sweep shares a Gram verdict by key, so each eta's key must be its own
+    # one memo for every accepted step, as in a sweep: most keys then come
+    # from another construction's code, so this checks the plain-form key
+    # against the oracle (q = 4 and q = 8 add by XOR); the sweep shares a
+    # Gram verdict by key, so each eta's key must be its own
+    f = field_q2(q)
     memo = {}
-    built = 0
-    for res in built_constructions(field_q2(q)):
-        gens = [generator_matrix(res.params(eta)) for eta, _ in res.eta_list]
-        oracle = []
-        for g in gens:
-            red, rank, _ = reference_rref(g.field, g.data, g.cols)
-            oracle.append(red[:rank])
-        assert _row_space_keys(res, memo) == tuple(oracle)
-        assert tuple(g.row_space_key() for g in gens) == tuple(oracle)
-        built += 1
-    assert built > len(memo) > 0
+    zero = Counter()
+    per_x = {}
+    for a_l, m, x_data, cand in candidate_steps(f):
+        res = _build(f, a_l, m, x_data, cand)
+        c, beta = _coset(f, a_l, m)
+        assert res.a == functools.reduce(f.add, res.alpha, 0)
+        kc = f.mul(f.scalar(res.k), c)
+        keys = _code_keys(f, x_data, cand, memo)
+        for (eta, _), inv_eta, key in zip(res.eta_list, cand[3], keys,
+                                          strict=True):
+            assert f.mul(eta, inv_eta) == 1
+            g = generator_matrix(res.params(eta))
+            red, rank, _ = reference_rref(f, g.data, g.cols)
+            s = sigma(f, a_l, m, res.k, inv_eta)
+            assert memo[(res.x_subset, s)] == key == red[:rank]
+            denom = f.add(1, f.mul(kc, eta))
+            assert (s == 0) == (denom == 0)
+            if denom:
+                # the inverse of the plain twist beta*eta / (1 + k*c*eta)
+                assert f.mul(s, f.div(f.mul(beta, eta), denom)) == 1
+            zero[s == 0] += 1
+            per_x.setdefault(res.x_subset, set()).add((s, key))
+    # both cases occur for odd q; the characteristic-2 grids reach no
+    # sigma = 0 candidate
+    assert zero[False] > 0 and (zero[True] > 0) == (q % 2 == 1)
+    assert len(memo) == sum(map(len, per_x.values()))
+    # on one x subset sigma names the code: equal sigma exactly when equal
+    # RREF
+    for pairs in per_x.values():
+        assert len({s for s, _ in pairs}) == len({k for _, k in pairs}) \
+            == len(pairs)
 
 
 def test_sweep_builds_one_generator_per_kept_code(gf49, monkeypatch):
-    # one generator per distinct plain form (x subset, plain twist) for the
-    # key, plus one per distinct code for the full criterion, which makes
-    # its code through gtrs.code
+    # one generator per distinct plain form (x subset, sigma) for the key,
+    # plus one per distinct code for the full criterion, which makes its
+    # code through gtrs.code
     import gtrscodes.gtrs as gtrs
     import gtrscodes.selfdual as selfdual
-    plain = set()
-    for res in built_constructions(gf49):
-        c, beta = _coset(gf49, res.a_l, res.m)
-        for eta, _ in res.eta_list:
-            denom = gf49.add(1, gf49.mul(gf49.mul(gf49.scalar(res.k), c), eta))
-            plain.add((res.x_subset, gf49.div(gf49.mul(beta, eta), denom)
-                       if denom else None))
+    plain = {(x_data[0], sigma(gf49, a_l, m, len(x_data[0]) // 2, inv_eta))
+             for a_l, m, x_data, cand in candidate_steps(gf49)
+             for inv_eta in cand[3]}
     calls = []
 
     def counted(params):
@@ -408,6 +441,30 @@ def test_sweep_builds_one_generator_per_kept_code(gf49, monkeypatch):
              for r in results for eta, _ in r.eta_list}
     assert (len(codes), len(plain)) == (36, 42)
     assert len(calls) == len(codes) + len(plain)
+
+
+@pytest.mark.parametrize("q, steps, accepted, kept", [(7, 336, 336, 25),
+                                                       (8, 504, 428, 17)])
+def test_sweep_and_construct_agree(q, steps, accepted, kept, monkeypatch):
+    # the sweep and construct_class1/2 share the candidate step and the
+    # builder: every swept result is the one construct gives for its own
+    # (a_l, m, x subset), and only the kept steps are materialized
+    import gtrscodes.selfdual as selfdual
+    f = field_q2(q)
+    calls = count_calls(monkeypatch, selfdual, ("_candidates", "_build"))
+    results = sweep_constructions(f)
+    monkeypatch.undo()
+    assert (calls["_candidates"], calls["_build"]) == (steps, kept)
+    assert len(results) == kept
+    # the sweep's grid: steps that raise nothing
+    assert sum(1 for _ in candidate_steps(f)) == accepted
+    for res in results:
+        if res.m is None:
+            built = construct_class1(f, res.a_l, res.x_subset)
+        else:
+            built = construct_class2(f, res.a_l, res.m, res.x_subset)
+        assert built.to_dict() == res.to_dict()
+        assert built.filtered == res.filtered
 
 
 def test_sweep_checks_a_repeated_code_on_its_own_datum(gf49, monkeypatch):
@@ -536,11 +593,11 @@ def test_sweep_refuses_an_unknown_class_without_lengths():
 
 def test_sweep_refuses_a_bad_length_before_building(gf49, monkeypatch):
     import gtrscodes.selfdual as selfdual
-    calls = count_calls(monkeypatch, selfdual, ("_build",))
+    calls = count_calls(monkeypatch, selfdual, ("_candidates", "_build"))
     for lengths in ([4, 5], [5]):
         with pytest.raises(ConstructionError, match="invalid sweep length 5"):
             sweep_constructions(gf49, lengths)
-    assert calls["_build"] == 0
+    assert calls["_candidates"] == calls["_build"] == 0
 
 
 def test_sweep_builds_a_repeated_length_once(gf49, monkeypatch):
@@ -550,14 +607,14 @@ def test_sweep_builds_a_repeated_length_once(gf49, monkeypatch):
 
     def counted(*args):
         calls.append(args)
-        return _build(*args)
+        return _candidates(*args)
 
-    monkeypatch.setattr(selfdual, "_build", counted)
+    monkeypatch.setattr(selfdual, "_candidates", counted)
     once = sweep_constructions(gf49, [4])
     built = len(calls)
     assert built == 112
     twice = sweep_constructions(gf49, [4, 4])
-    assert len(calls) == 2 * built
+    assert len(calls) == 2 * built == 224
     assert [r.to_dict() for r in twice] == [r.to_dict() for r in once]
     with pytest.raises(ConstructionError, match="invalid sweep length 5"):
         sweep_constructions(gf49, [4, 4, 5])
@@ -595,10 +652,12 @@ def test_swept_codes_are_plain_twists_on_x(data):
     x = data.draw(st.permutations(sub), label="order")[:n]
     a_l = data.draw(st.sampled_from(sub), label="a_l")
     m = data.draw(st.sampled_from([None, *range(1, q + 1)]), label="m")
+    x_data = _x_data(f, x)
     try:
-        res = _build(f, a_l, m, _x_data(f, x), zeta_roots(f))
+        cand = _candidates(f, a_l, m, x_data, _zeta_inverses(f))
     except ConstructionError:
         reject()
+    res = _build(f, a_l, m, x_data, cand)
     assert res.v == tuple(f.solve_norm(u) for u in u_vector(f, x))
     for eta, _ in res.eta_list:
         plain, zero = plain_code(f, res, eta)
