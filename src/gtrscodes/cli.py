@@ -133,12 +133,11 @@ def cmd_construct(args) -> int:
         x = list(field.subfield_elements()[:args.n])
     if len(x) != args.n:
         raise UsageError(f"x subset must have exactly n = {args.n} entries")
-    if args.cls == "I":
-        result = construct_class1(field, a_l, x)
-    else:
-        if args.m is None:
-            raise UsageError("class II requires --m")
-        result = construct_class2(field, a_l, args.m, x)
+    if (args.m is None) != (args.cls == "I"):
+        raise UsageError("class II requires --m" if args.m is None
+                         else "class I takes no --m")
+    result = (construct_class1(field, a_l, x) if args.m is None
+              else construct_class2(field, a_l, args.m, x))
     _emit(_json(result.to_dict()), args.out)
     return 0
 

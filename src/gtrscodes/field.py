@@ -160,7 +160,7 @@ class GaloisField:
                 raise FieldError("supplied modulus is reducible")
         self.modulus = tuple(modulus)
 
-        # subfield size for square extensions (Frobenius / norm / trace)
+        # subfield size for square extensions (Frobenius, norm equations)
         self.q = p ** (m // 2) if m % 2 == 0 else None
 
         if generator is None:
@@ -338,14 +338,6 @@ class GaloisField:
         if x == 0:
             return 0
         return self.exp[(self.log[x] * q) % (self.order - 1)]
-
-    def norm(self, x: int) -> int:
-        q = self._require_square()
-        return self.pow(x, q + 1) if x else 0
-
-    def trace(self, x: int) -> int:
-        self._require_square()
-        return self.add(self.frobenius(x), x)
 
     def in_subfield(self, x: int) -> bool:
         self._require_square()

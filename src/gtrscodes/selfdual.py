@@ -17,7 +17,7 @@ the equation and give the MDS [2, 1, 2] code.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import product
 
 from .codes import LinearCode
@@ -60,7 +60,7 @@ def check_self_dual_criterion(params: GTRSParams) -> LinearCode | None:
         raise GTRSError("excluded eta: 1 + a*eta = 0")
     lin = code(params)
     gram_ok = lin.is_hermitian_self_dual()
-    [poly_ok] = _polynomial_route(field, params.alpha, params.v, k, [eta])
+    [poly_ok] = _polynomial_route(field, params.alpha, params.v, k, a, [eta])
     _require_agreement(gram_ok, poly_ok)
     return lin if gram_ok else None
 
@@ -72,12 +72,13 @@ def _require_agreement(gram_ok: bool, poly_ok: bool) -> None:
             "checks disagree")
 
 
-def _polynomial_route(field: GaloisField, alpha, v, k: int,
+def _polynomial_route(field: GaloisField, alpha, v, k: int, a: int,
                       etas) -> list[bool]:
     """The polynomial route of `check_self_dual_criterion` for the
-    single-twist data (alpha, v, eta, k), n = 2k and 1 + a*eta != 0, one
-    verdict per listed eta in order: every target column lies in the column
-    space of the dual-shape basis B, i.e. rank [B | targets] = rank B.
+    single-twist data (alpha, v, eta, k) with locator sum a, n = 2k and
+    1 + a*eta != 0, one verdict per listed eta in order: every target column
+    lies in the column space of the dual-shape basis B, i.e.
+    rank [B | targets] = rank B.
 
     The locator powers up to x^k, their conjugates, u and N(v_i)/u_i do not
     depend on eta and are computed once; each eta adds its two columns and
@@ -100,7 +101,6 @@ def _polynomial_route(field: GaloisField, alpha, v, k: int,
         # the last two columns that the eta terms join
         low.append((powers[:k - 1], targets[:k - 1]))
         last.append((powers[k - 1], powers[k], targets[k - 1], targets[k]))
-    a = alpha_sum(field, alpha)
     verdicts = []
     for eta in etas:
         c = field.div(eta, add(1, mul(a, eta)))
@@ -176,10 +176,6 @@ class ConstructionResult:
     def params(self, eta: int) -> GTRSParams:
         return plus_gtrs(self.field, self.alpha, self.v, eta, self.k)
 
-    def codes(self):
-        for eta, label in self.eta_list:
-            yield eta, label, code(self.params(eta))
-
     def to_dict(self) -> dict:
         f = self.field
         return {
@@ -197,10 +193,12 @@ class ConstructionResult:
         }
 
 
-def _finished(res: ConstructionResult, keys,
-              verified: set) -> ConstructionResult:
-    """Label every listed eta of a built result by `classify_eta` on its
-    own locators, then check that each one's code is Hermitian self-dual.
+def _finished(field: GaloisField, a_l: int, m: int | None, x_data, cand,
+              keys, verified: set) -> ConstructionResult:
+    """The construction of a `_candidates` step `cand`: locators
+    c + beta * x_i and eta = 1 / eta^-1 for each kept inverse, in order,
+    each labelled by `classify_eta` on those locators; then each eta's code
+    is checked to be Hermitian self-dual.
 
     `keys` holds one key per listed eta, equal exactly when the codes are:
     the sweep hands in the `_code_keys` it deduplicated by, and a single
@@ -211,11 +209,16 @@ def _finished(res: ConstructionResult, keys,
     Gram verdict already stored for their code. That verdict is a fact of
     the code: a generator M*G of the same code has Gram matrix
     M (G conj(G)^T) conj(M)^T."""
-    res = replace(res, eta_list=tuple(
-        (eta, classify_eta(res.field, res.alpha, eta))
-        for eta, _ in res.eta_list))
+    x, v, _ = x_data
+    c, beta, a, inverses, filtered = cand
+    alpha = tuple(field.add(c, field.mul(beta, xi)) for xi in x)
+    etas = [field.inv(e) for e in inverses]
+    res = ConstructionResult(
+        "I" if m is None else "II", field, a_l, m, x, alpha, v, a,
+        tuple((eta, classify_eta(field, alpha, eta)) for eta in etas),
+        filtered)
     repeated = []
-    for (eta, _), key in zip(res.eta_list, keys):
+    for eta, key in zip(etas, keys):
         if key in verified:
             repeated.append(eta)
         elif check_self_dual_criterion(res.params(eta)):
@@ -224,7 +227,7 @@ def _finished(res: ConstructionResult, keys,
             raise InvariantError("constructed code failed the self-duality criterion")
     if repeated:
         _require_agreement(True, all(_polynomial_route(
-            res.field, res.alpha, res.v, res.k, repeated)))
+            field, alpha, v, res.k, a, repeated)))
     return res
 
 
@@ -243,30 +246,20 @@ def construct_class2(field: GaloisField, a_l: int, m: int, x_subset) -> Construc
 def _construct(field: GaloisField, a_l: int, m: int | None,
                x_subset) -> ConstructionResult:
     """One construction through the sweep's steps, `_x_data`, `_candidates`
-    and `_build`, after checking the coset label; every listed eta is
-    labelled and runs the full criterion (distinct keys, no verdict
-    shared)."""
+    and `_finished`, after checking the coset label; every listed eta runs
+    the full criterion (distinct keys, no verdict shared)."""
     field._require_square()
     field.check(a_l)
     if not field.in_subfield(a_l):
         raise ConstructionError("coset label must lie in the subfield")
     x_data = _x_data(field, x_subset)
     cand = _candidates(field, a_l, m, x_data, _zeta_inverses(field))
-    res = _build(field, a_l, m, x_data, cand)
-    return _finished(res, range(len(res.eta_list)), set())
+    return _finished(field, a_l, m, x_data, cand, range(len(cand[3])), set())
 
 
 def _zeta_inverses(field: GaloisField) -> list[int]:
     """The inverses of `zeta_roots(field)`, in its order."""
     return [field.inv(z) for z in zeta_roots(field)]
-
-
-def _coset(field: GaloisField, a_l: int, m: int | None) -> tuple[int, int]:
-    """(c, beta) of the coset c + beta * GF(q): (a_l * w, 1) for class I
-    (m is None), (a_l, w^m) for class II."""
-    if m is None:
-        return field.mul(a_l, field.generator), 1
-    return a_l, field.pow(field.generator, m)
 
 
 def _x_data(field: GaloisField, x_subset) -> tuple[tuple[int, ...],
@@ -294,13 +287,13 @@ def _x_data(field: GaloisField, x_subset) -> tuple[tuple[int, ...],
 
 def _candidates(field: GaloisField, a_l: int, m: int | None, x_data,
                 zinv: list[int]) -> tuple[int, int, int, list[int], int]:
-    """The eta candidates of the construction on the coset
-    `_coset(field, a_l, m)` with locators c + beta * x_i, for the `_x_data`
-    of an x subset; 1 <= m <= q for class II, and `zinv` =
-    `_zeta_inverses(field)`. Returns (c, beta, a, inverses, filtered): the
-    locator sum a = n*c + beta * sum(x), the inverses of the kept etas in
-    eta order, and the number of candidates dropped by 1 + a*eta = 0, which
-    is eta^-1 = -a. No locator is built.
+    """The eta candidates of the construction on the coset c + beta * GF(q)
+    with locators c + beta * x_i, for the `_x_data` of an x subset: (c, beta)
+    is (a_l * w, 1) for class I (m is None) and (a_l, w^m) for class II,
+    1 <= m <= q; `zinv` = `_zeta_inverses(field)`. Returns (c, beta, a,
+    inverses, filtered): the locator sum a = n*c + beta * sum(x), the
+    inverses of the kept etas in eta order, and the number of candidates
+    dropped by 1 + a*eta = 0, which is eta^-1 = -a. No locator is built.
 
     With B = k*c + k*c^q / beta^(q-1) + beta * sum(x), the candidates are
     the zeta roots over B when a and B are nonzero (eta^-1 = B * z^-1),
@@ -309,9 +302,12 @@ def _candidates(field: GaloisField, a_l: int, m: int | None, x_data,
     q = field.q
     x, _, sum_x = x_data
     n = len(x)
-    if m is not None and not 1 <= m <= q:
+    if m is None:
+        c, beta = field.mul(a_l, field.generator), 1
+    elif 1 <= m <= q:
+        c, beta = a_l, field.pow(field.generator, m)
+    else:
         raise ConstructionError(f"m must lie in [1, {q}]")
-    c, beta = _coset(field, a_l, m)
     a = field.add(field.mul(field.scalar(n), c), field.mul(beta, sum_x))
     if a == 0 and field.p == 2:
         raise ConstructionError(
@@ -339,20 +335,6 @@ def _candidates(field: GaloisField, a_l: int, m: int | None, x_data,
     return c, beta, a, kept, len(inverses) - len(kept)
 
 
-def _build(field: GaloisField, a_l: int, m: int | None, x_data,
-           cand) -> ConstructionResult:
-    """The unlabelled construction of a `_candidates` step `cand`: locators
-    c + beta * x_i and eta = 1 / eta^-1 for each kept inverse, in order.
-    Every listed eta carries the label None until `_finished`."""
-    x, v, _ = x_data
-    c, beta, a, inverses, filtered = cand
-    alpha = tuple(field.add(c, field.mul(beta, xi)) for xi in x)
-    return ConstructionResult("I" if m is None else "II", field, a_l, m, x,
-                              alpha, v, a,
-                              tuple((field.inv(e), None) for e in inverses),
-                              filtered)
-
-
 # ---------------------------------------------------------------------------
 # Sweeps
 # ---------------------------------------------------------------------------
@@ -361,7 +343,7 @@ def _code_keys(field: GaloisField, x_data, cand, memo: dict) -> list:
     """The RREF row-space keys of the codes of the kept etas of a
     `_candidates` step `cand`, in eta order: each equals
     `generator_matrix(res.params(eta)).row_space_key()` for the result
-    `_build` makes of the step.
+    `_finished` makes of the step.
 
     With alpha = c + beta * x, the rows v * alpha^j (j < k - 1) span the
     same space as the rows v * x^j, and modulo them alpha^(k-1) + eta *
@@ -417,10 +399,10 @@ def sweep_constructions(field: GaloisField, n_values=None,
     runs only the `_candidates` step: a, B and the inverses of its etas.
     `_code_keys` keys each candidate by (x, sigma) and builds a generator
     only for a new plain form. The steps are deduplicated by their sorted
-    row-space keys; only the kept ones are materialized by `_build`,
-    labelled, each from its own locators, and verified by `_finished` with
-    the keys already computed and one Gram verdict per distinct code, kept
-    for this call only. Over q = 3..13, 3 712 steps hold 39 400 candidates
+    row-space keys; only the kept ones are built, labelled, each from its
+    own locators, and verified by `_finished` with the keys already computed
+    and one Gram verdict per distinct code, kept for this call only. Over
+    q = 3..13, 3 712 steps hold 39 400 candidates
     and 157 are kept; the full criterion runs once per distinct code (285),
     `classify_eta` once per listed row (1 337), and the polynomial route
     gives one verdict per row (1 337) in 412 calls: one inside each full
@@ -458,6 +440,6 @@ def sweep_constructions(field: GaloisField, n_values=None,
                     if key in seen:
                         continue
                     seen.add(key)
-                    results.append(_finished(
-                        _build(field, a_l, m, x_data, cand), keys, verified))
+                    results.append(_finished(field, a_l, m, x_data, cand,
+                                             keys, verified))
     return results

@@ -114,7 +114,8 @@ def test_criterion_4_classification_vs_brute_force():
         f = field_q2(q)
         for res in sweep_cache(q):
             exhaustive = f.order ** res.k <= MESSAGE_CAP
-            for eta, _lbl, c in res.codes():
+            for eta, _lbl in res.eta_list:
+                c = code(res.params(eta))
                 checked += 1
                 enumerated += exhaustive
                 want = classify_eta(f, res.alpha, eta)

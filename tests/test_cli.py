@@ -70,6 +70,16 @@ def test_construct_missing_m(capsys):
     assert rc == 2
 
 
+def test_construct_class1_refuses_m(capsys):
+    # class I has no direction exponent: --m is refused, not ignored
+    for m in ("99", "4"):
+        rc, out, err = run(capsys, "construct", "--class", "I", "--q", "7",
+                           "--n", "6", "--al", "0", "--m", m)
+        assert (rc, out) == (2, "")
+        assert json.loads(err) == {"error": "UsageError",
+                                   "message": "class I takes no --m"}
+
+
 def test_verify_self_dual_and_perturbed(capsys, tmp_path, gf49):
     res = construct_class1(gf49, 0, gf49.subfield_elements()[1:])
     eta = res.eta_list[0][0]

@@ -131,9 +131,10 @@ def test_is_hermitian_self_dual(gf49):
     assert not LinearCode(Matrix(gf4, [[1, 1, 0]])).is_hermitian_self_dual()
     # bundled self-dual instances over GF(49)
     res = construct_class1(gf49, 0, gf49.subfield_elements()[1:])
-    for _eta, _label, code in res.codes():
-        assert code.is_hermitian_self_dual()
-        assert code.dual_hermitian().equals(code)
+    for eta, _label in res.eta_list:
+        c = code(res.params(eta))
+        assert c.is_hermitian_self_dual()
+        assert c.dual_hermitian().equals(c)
 
 
 def test_min_distance_repetition(gf9):
@@ -156,9 +157,9 @@ def test_min_distance_reference_instances(gf49):
     # self-dual [6,3] families: class (I) with a=0 gives distance 4,
     # class (I) with a != 0 at a_l=1 includes a distance-3 member
     r1 = construct_class1(gf49, 0, gf49.subfield_elements()[1:])
-    assert {c.min_distance() for _, _, c in r1.codes()} == {4}
+    assert {code(r1.params(eta)).min_distance() for eta, _ in r1.eta_list} == {4}
     r2 = construct_class1(gf49, 1, gf49.subfield_elements()[:6])
-    assert {c.min_distance() for _, _, c in r2.codes()} == {3, 4}
+    assert {code(r2.params(eta)).min_distance() for eta, _ in r2.eta_list} == {3, 4}
 
 
 def test_min_distance_cap(gf49):
@@ -259,10 +260,11 @@ def test_classify(gf7, gf49):
     rep = LinearCode(Matrix(gf7, [[1] * 5]))
     assert rep.classify() == "MDS"
     r = construct_class1(gf49, 1, gf49.subfield_elements()[:6])
-    labels = {c.classify() for _, _, c in r.codes()}
+    labels = {code(r.params(eta)).classify() for eta, _ in r.eta_list}
     assert labels == {"MDS", "NMDS"}
     # MDS duals are MDS; the construction label matches the classifier
-    for _eta, label, c in r.codes():
+    for eta, label in r.eta_list:
+        c = code(r.params(eta))
         assert c.classify() == label
         if label == "MDS":
             assert c.dual_euclidean().classify() == "MDS"

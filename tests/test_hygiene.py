@@ -350,14 +350,27 @@ def test_module_state_write_is_detected():
         "functools.cache (line 2)", "functools.cache (line 20)",
         "functools.lru_cache (line 18)", "global COUNT (line 14)"]
     # a mutated copy of the sweep that keeps its x-subset data and zeta
-    # roots across calls fails the check
+    # roots across calls fails the check; the x-subset step is found by
+    # AST, wherever its line sits in `sweep_constructions`
     source = (SRC / "selfdual.py").read_text()
+    sweep = next(node for node in ast.parse(source).body
+                 if isinstance(node, ast.FunctionDef)
+                 and node.name == "sweep_constructions")
+    [step] = [node for node in ast.walk(sweep)
+              if isinstance(node, ast.Assign)
+              and [getattr(t, "id", None) for t in node.targets] == ["x_data"]
+              and isinstance(node.value, ast.Call)
+              and getattr(node.value.func, "id", None) == "_x_data"]
+    key = ", ".join(ast.get_source_segment(source, arg)
+                    for arg in step.value.args)
+    lines = source.splitlines(keepends=True)
+    lines[step.lineno - 1:step.end_lineno] = [
+        f"{' ' * step.col_offset}x_data = _X_DATA.setdefault(({key}), "
+        f"{ast.get_source_segment(source, step.value)})\n"]
+    source = "".join(lines)
     for old, new in (
             ("class ConstructionError",
              "_X_DATA = {}\n\n\nclass ConstructionError"),
-            ("            x_data = _x_data(field, x)\n",
-             "            x_data = _X_DATA.setdefault(\n"
-             "                (field.order, x), _x_data(field, x))\n"),
             ("def zeta_roots(", "@functools.cache\ndef zeta_roots(")):
         assert old in source
         source = source.replace(old, new)
@@ -370,3 +383,14 @@ def test_no_module_state_writes_in_package():
              for p in sorted(SRC.glob("*.py"))}
     assert found
     assert {name: writes for name, writes in found.items() if writes} == {}
+
+
+def test_every_export_is_named_in_the_readme():
+    tree = ast.parse((SRC / "__init__.py").read_text())
+    [exports] = [ast.literal_eval(node.value) for node in tree.body
+                 if isinstance(node, ast.Assign)
+                 and [getattr(t, "id", None) for t in node.targets]
+                 == ["__all__"]]
+    readme = (SRC.parent.parent / "README.md").read_text()
+    assert exports
+    assert sorted(set(exports) - set(re.findall(r"\w+", readme))) == []

@@ -24,7 +24,7 @@ from gtrscodes import (
     zeta_roots,
 )
 from gtrscodes.linalg import Matrix
-from gtrscodes.selfdual import (_build, _candidates, _code_keys, _coset,
+from gtrscodes.selfdual import (_candidates, _code_keys, _finished,
                                 _polynomial_route, _x_data, _zeta_inverses,
                                 canonical_x_subsets)
 
@@ -94,7 +94,8 @@ def test_classify_eta(gf49):
     # against exhaustive distance on a family that has an NMDS member
     res = construct_class1(gf49, 0, gf49.subfield_elements()[:6])
     labels = {}
-    for eta, _lbl, c in res.codes():
+    for eta, _lbl in res.eta_list:
+        c = code(res.params(eta))
         labels[eta] = classify_eta(gf49, res.alpha, eta)
         assert labels[eta] == exhaustive_class(c)
     assert labels[3] == "NMDS"
@@ -110,7 +111,8 @@ def test_class1_zero_sum_family(gf49):
         assert gf49.pow(e, 6) == gf49.neg(1)
     assert sorted(gf49.log[e] for e in etas) == [4, 12, 20, 28, 36, 44]
     assert all(lbl == "MDS" for _, lbl in res.eta_list)
-    for _eta, _lbl, c in res.codes():
+    for eta, _lbl in res.eta_list:
+        c = code(res.params(eta))
         assert c.is_hermitian_self_dual()
         assert c.min_distance() == 4
 
@@ -122,7 +124,8 @@ def test_class1_nonzero_sum(gf49):
     assert len(res.eta_list) + res.filtered == 7
     labels = [lbl for _, lbl in res.eta_list]
     assert labels.count("NMDS") <= 1
-    for eta, lbl, c in res.codes():
+    for eta, lbl in res.eta_list:
+        c = code(res.params(eta))
         assert c.is_hermitian_self_dual()
         assert c.min_distance() == (3 if lbl == "NMDS" else 4)
 
@@ -157,14 +160,16 @@ def test_class2_zero_sum_family(gf49):
         assert gf49.pow(e, 6) == gf49.neg(gf49.pow(beta, -6))
         assert lbl == "MDS"
     assert len(res.eta_list) == 6
-    for _eta, _lbl, c in res.codes():
+    for eta, _lbl in res.eta_list:
+        c = code(res.params(eta))
         assert c.is_hermitian_self_dual()
         assert c.min_distance() == 4
 
 
 def test_class2_nonzero_sum(gf49):
     res = construct_class2(gf49, 1, 3, gf49.subfield_elements()[:6])
-    for eta, lbl, c in res.codes():
+    for eta, lbl in res.eta_list:
+        c = code(res.params(eta))
         assert c.is_hermitian_self_dual()
         assert lbl == ("MDS" if is_mds_plus(gf49, res.alpha, eta, res.k)
                        else "NMDS")
@@ -205,7 +210,8 @@ def test_sweep_soundness(q):
     assert results
     for res in results:
         assert isinstance(res, ConstructionResult)
-        for eta, lbl, c in res.codes():
+        for eta, lbl in res.eta_list:
+            c = code(res.params(eta))
             assert c.is_hermitian_self_dual()
             assert lbl == ("MDS" if is_mds_plus(res.field, res.alpha, eta,
                                                 res.k) else "NMDS")
@@ -273,9 +279,9 @@ def test_sweep_verifies_each_kept_code_once(gf49, monkeypatch):
     real_route = selfdual._polynomial_route
     routed = Counter()
 
-    def route(field, alpha, v, k, etas):
+    def route(field, alpha, v, k, a, etas):
         routed.update((alpha, v, eta) for eta in etas)
-        return real_route(field, alpha, v, k, etas)
+        return real_route(field, alpha, v, k, a, etas)
 
     monkeypatch.setattr(selfdual, "_polynomial_route", route)
     calls = count_calls(monkeypatch, selfdual,
@@ -321,6 +327,20 @@ def test_sweep_does_x_subset_work_once_per_subset(q, monkeypatch):
     assert calls["_polynomial_route"] < rows
 
 
+def test_sweep_sums_the_locators_once_per_use(gf49, monkeypatch):
+    # the polynomial route takes the sum it is given: a sweep sums
+    # locators once per row (its label), once per full criterion and once
+    # per x subset, and not again per route call
+    import gtrscodes.selfdual as selfdual
+    calls = count_calls(monkeypatch, selfdual,
+                        ("alpha_sum", "classify_eta",
+                         "check_self_dual_criterion", "_x_data"))
+    sweep_constructions(gf49)
+    assert (calls["classify_eta"], calls["check_self_dual_criterion"],
+            calls["_x_data"]) == (138, 36, 6)
+    assert calls["alpha_sum"] == 138 + 36 + 6
+
+
 @pytest.mark.parametrize("q", [3, 4, 5, 7, 8, 9, 11, 13])
 def test_sweep_labels_follow_each_rows_own_locators(q):
     # rows are labelled after deduplication, so each label must come from
@@ -364,15 +384,18 @@ def candidate_steps(field):
 
 
 def built_constructions(field):
-    """Every unlabelled result of an accepted candidate step, kept or not."""
+    """Every finished result of an accepted candidate step, kept or not,
+    verified as a sweep verifies: one full criterion per distinct code."""
+    memo, verified = {}, set()
     for a_l, m, x_data, cand in candidate_steps(field):
-        yield _build(field, a_l, m, x_data, cand)
+        yield _finished(field, a_l, m, x_data, cand,
+                        _code_keys(field, x_data, cand, memo), verified)
 
 
-def sigma(field, a_l, m, k, inv_eta):
-    """The key value (eta^-1 + k*c) / beta of one candidate on the coset
-    c + beta * GF(q) of (a_l, m)."""
-    c, beta = _coset(field, a_l, m)
+def sigma(field, cand, k, inv_eta):
+    """The key value (eta^-1 + k*c) / beta of one candidate of the step
+    `cand` on the coset c + beta * GF(q)."""
+    c, beta = cand[:2]
     kc = field.mul(field.scalar(k), c)
     return field.div(field.add(inv_eta, kc), beta)
 
@@ -384,21 +407,21 @@ def test_row_space_keys_match_generator_rref(q):
     # against the oracle (q = 4 and q = 8 add by XOR); the sweep shares a
     # Gram verdict by key, so each eta's key must be its own
     f = field_q2(q)
-    memo = {}
+    memo, verified = {}, set()
     zero = Counter()
     per_x = {}
     for a_l, m, x_data, cand in candidate_steps(f):
-        res = _build(f, a_l, m, x_data, cand)
-        c, beta = _coset(f, a_l, m)
+        keys = _code_keys(f, x_data, cand, memo)
+        res = _finished(f, a_l, m, x_data, cand, keys, verified)
+        c, beta = cand[:2]
         assert res.a == functools.reduce(f.add, res.alpha, 0)
         kc = f.mul(f.scalar(res.k), c)
-        keys = _code_keys(f, x_data, cand, memo)
         for (eta, _), inv_eta, key in zip(res.eta_list, cand[3], keys,
                                           strict=True):
             assert f.mul(eta, inv_eta) == 1
             g = generator_matrix(res.params(eta))
             red, rank, _ = reference_rref(f, g.data, g.cols)
-            s = sigma(f, a_l, m, res.k, inv_eta)
+            s = sigma(f, cand, res.k, inv_eta)
             assert memo[(res.x_subset, s)] == key == red[:rank]
             denom = f.add(1, f.mul(kc, eta))
             assert (s == 0) == (denom == 0)
@@ -424,8 +447,8 @@ def test_sweep_builds_one_generator_per_kept_code(gf49, monkeypatch):
     # code through gtrs.code
     import gtrscodes.gtrs as gtrs
     import gtrscodes.selfdual as selfdual
-    plain = {(x_data[0], sigma(gf49, a_l, m, len(x_data[0]) // 2, inv_eta))
-             for a_l, m, x_data, cand in candidate_steps(gf49)
+    plain = {(x_data[0], sigma(gf49, cand, len(x_data[0]) // 2, inv_eta))
+             for _, _, x_data, cand in candidate_steps(gf49)
              for inv_eta in cand[3]}
     calls = []
 
@@ -451,10 +474,10 @@ def test_sweep_and_construct_agree(q, steps, accepted, kept, monkeypatch):
     # (a_l, m, x subset), and only the kept steps are materialized
     import gtrscodes.selfdual as selfdual
     f = field_q2(q)
-    calls = count_calls(monkeypatch, selfdual, ("_candidates", "_build"))
+    calls = count_calls(monkeypatch, selfdual, ("_candidates", "_finished"))
     results = sweep_constructions(f)
     monkeypatch.undo()
-    assert (calls["_candidates"], calls["_build"]) == (steps, kept)
+    assert (calls["_candidates"], calls["_finished"]) == (steps, kept)
     assert len(results) == kept
     # the sweep's grid: steps that raise nothing
     assert sum(1 for _ in candidate_steps(f)) == accepted
@@ -489,8 +512,8 @@ def test_sweep_checks_a_repeated_code_on_its_own_datum(gf49, monkeypatch):
     for target in (0, repeated - 1):
         given = []
 
-        def route(field, alpha, v, k, etas):
-            verdicts = real_route(field, alpha, v, k, etas)
+        def route(field, alpha, v, k, a, etas):
+            verdicts = real_route(field, alpha, v, k, a, etas)
             if full:
                 return verdicts
             out = [ok != (len(given) + i == target)
@@ -527,7 +550,8 @@ def test_polynomial_route_matches_the_oracle_on_swept_data(q):
     checked = 0
     for res in built_constructions(field_q2(q)):
         etas = [eta for eta, _ in res.eta_list]
-        assert (_polynomial_route(res.field, res.alpha, res.v, res.k, etas)
+        assert (_polynomial_route(res.field, res.alpha, res.v, res.k, res.a,
+                                  etas)
                 == [poly_route_oracle(res.params(eta)) for eta in etas])
         checked += len(etas)
     assert checked > 0
@@ -555,15 +579,15 @@ def random_route_data(field, rng):
         a = functools.reduce(field.add, alpha, 0)
         etas = [eta for eta in range(1, field.order)
                 if field.add(1, field.mul(a, eta))]
-        yield alpha, v, n // 2, etas
+        yield alpha, v, n // 2, a, etas
 
 
 @pytest.mark.parametrize("q", [3, 4, 5, 7, 8])
 def test_polynomial_route_matches_the_oracle_on_random_data(q):
     field = field_q2(q)
     verdicts = Counter()
-    for alpha, v, k, etas in random_route_data(field, random.Random(q)):
-        got = _polynomial_route(field, alpha, v, k, etas)
+    for alpha, v, k, a, etas in random_route_data(field, random.Random(q)):
+        got = _polynomial_route(field, alpha, v, k, a, etas)
         assert got == [poly_route_oracle(plus_gtrs(field, alpha, v, eta, k))
                        for eta in etas]
         verdicts.update(got)
@@ -578,9 +602,9 @@ def test_polynomial_route_gives_each_listed_eta_its_own_verdict(gf49):
     a = res.a
     bad = [eta for eta in (1, 5, 17) if gf49.add(1, gf49.mul(a, eta))]
     etas = [good[0], *bad, good[-1], bad[0], good[0]]
-    single = [_polynomial_route(gf49, res.alpha, res.v, res.k, [eta])[0]
+    single = [_polynomial_route(gf49, res.alpha, res.v, res.k, a, [eta])[0]
               for eta in etas]
-    assert _polynomial_route(gf49, res.alpha, res.v, res.k, etas) == single
+    assert _polynomial_route(gf49, res.alpha, res.v, res.k, a, etas) == single
     assert single == [poly_route_oracle(res.params(eta)) for eta in etas]
     assert True in single and False in single
 
@@ -593,11 +617,11 @@ def test_sweep_refuses_an_unknown_class_without_lengths():
 
 def test_sweep_refuses_a_bad_length_before_building(gf49, monkeypatch):
     import gtrscodes.selfdual as selfdual
-    calls = count_calls(monkeypatch, selfdual, ("_candidates", "_build"))
+    calls = count_calls(monkeypatch, selfdual, ("_candidates", "_finished"))
     for lengths in ([4, 5], [5]):
         with pytest.raises(ConstructionError, match="invalid sweep length 5"):
             sweep_constructions(gf49, lengths)
-    assert calls["_candidates"] == calls["_build"] == 0
+    assert calls["_candidates"] == calls["_finished"] == 0
 
 
 def test_sweep_builds_a_repeated_length_once(gf49, monkeypatch):
@@ -657,7 +681,7 @@ def test_swept_codes_are_plain_twists_on_x(data):
         cand = _candidates(f, a_l, m, x_data, _zeta_inverses(f))
     except ConstructionError:
         reject()
-    res = _build(f, a_l, m, x_data, cand)
+    res = _finished(f, a_l, m, x_data, cand, range(len(cand[3])), set())
     assert res.v == tuple(f.solve_norm(u) for u in u_vector(f, x))
     for eta, _ in res.eta_list:
         plain, zero = plain_code(f, res, eta)
