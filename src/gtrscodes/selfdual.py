@@ -8,11 +8,9 @@ Two constructive families of locator sets, both cosets of size q:
 For each, a canonical multiplier vector is produced by solving norm
 equations, and the admissible twist coefficients eta are the roots of an
 explicit equation over GF(q^2); every admissible eta yields a Hermitian
-self-dual [n, n/2] code that is MDS or NMDS. An NMDS member needs
-a*eta + 2 = 0 (a the locator sum), but that equation alone does not make
-a code NMDS: some n/2-subset of the locators must also attain the
-half-sum a/2 = -1/eta. Over GF(9), locators (0, 1) with eta = 1 satisfy
-the equation and give the MDS [2, 1, 2] code.
+self-dual [n, n/2] code that is MDS or NMDS (`classify_eta`). Over GF(9),
+locators (0, 1) with eta = 1 satisfy a*eta + 2 = 0 (a the locator sum)
+and give the MDS [2, 1, 2] code.
 """
 
 from __future__ import annotations
@@ -37,16 +35,13 @@ class ConstructionError(ValueError):
 
 def check_self_dual_criterion(params: GTRSParams) -> LinearCode | None:
     """Exact Hermitian self-duality test for a single-twist code: the code
-    of params when it is Hermitian self-dual, else None.  Two independent
-    routes decide, and they must agree (`InvariantError` otherwise):
-
-    (i)  Gram route: G conj(G)^T = 0 with n = 2k;
-    (ii) polynomial route (`_polynomial_route`, here on the one eta of
-         params): for every basis polynomial f, the point values
-         v_i^{q+1} f(alpha_i)^q / u_i are interpolated by some g of the
-         constrained dual shape
-         g = sum_{i<k-1} g_i x^i + g_{k-1} (x^{k-1} - eta/(1+a*eta) x^k).
-    """
+    of params when it is Hermitian self-dual, else None. Two independent
+    routes decide and must agree (`InvariantError` otherwise): (i) the Gram
+    route G conj(G)^T = 0 with n = 2k; (ii) the polynomial route
+    (`_polynomial_route`, on the one eta of params): for every basis
+    polynomial f, the point values v_i^{q+1} f(alpha_i)^q / u_i are
+    interpolated by some g of the constrained dual shape
+    g = sum_{i<k-1} g_i x^i + g_{k-1} (x^{k-1} - eta/(1+a*eta) x^k)."""
     field = params.field
     field._require_square()
     if not params.twist.is_plus():
@@ -77,15 +72,11 @@ def _polynomial_route(field: GaloisField, alpha, v, k: int, a: int,
     """The polynomial route of `check_self_dual_criterion` for the
     single-twist data (alpha, v, eta, k) with locator sum a, n = 2k and
     1 + a*eta != 0, one verdict per listed eta in order: every target column
-    lies in the column space of the dual-shape basis B, i.e.
-    rank [B | targets] = rank B.
-
-    The locator powers up to x^k, their conjugates, u and N(v_i)/u_i do not
-    depend on eta and are computed once; each eta adds its two columns and
-    runs one `echelon` of the n x 2k matrix [B | targets]. Pivots are the
-    first nonzero entries of the echelon rows, so rank B is the number of
-    pivots below k, and the targets lie in the column space of B exactly
-    when no pivot is >= k."""
+    lies in the column space of the dual-shape basis B. The locator powers
+    up to x^k, their conjugates, u and N(v_i)/u_i are computed once; each
+    eta adds its two columns and runs one `echelon` of the n x 2k matrix
+    [B | targets], whose targets lie in the column space of B exactly when
+    no pivot (the first nonzero entry of an echelon row) is >= k."""
     q = field.q
     mul, add = field.mul, field.add
     low, last = [], []
@@ -113,9 +104,8 @@ def _polynomial_route(field: GaloisField, alpha, v, k: int, a: int,
 
 
 def zeta_roots(field: GaloisField) -> list[int]:
-    """The q distinct nonzero roots of z^q + z^(q-1) + 1 over GF(q^2).
-
-    For z != 0 the equation times z reads N(z) + Tr(z) = 0, and N(z+1) =
+    """The q distinct nonzero roots of z^q + z^(q-1) + 1 over GF(q^2): for
+    z != 0 the equation times z reads N(z) + Tr(z) = 0, and N(z+1) =
     (z+1)(z^q+1) = N(z) + Tr(z) + 1, so the roots are z = y - 1 with
     N(y) = y^(q+1) = 1 and y != 1."""
     q = field._require_square()
@@ -129,19 +119,14 @@ def zeta_roots(field: GaloisField) -> list[int]:
 
 def classify_eta(field: GaloisField, alpha, eta: int) -> str:
     """MDS/NMDS label of the Hermitian self-dual [n, n/2] single-twist code
-    with locators alpha and twist coefficient eta.
-
-    NMDS exactly when a != 0, a*eta + 2 = 0 (a the locator sum) and some
-    n/2-subset of the locators sums to -1/eta (the half-sum a/2); MDS
-    otherwise. The equation is a cheap gate: the subset scan of
-    `is_mds_plus` runs only for an eta that passes it.
-
-    The domain is the self-dual n = 2k codes that the construction
-    families produce; on every code of both pinned sweep catalogs exact
-    distance finds no NMDS member with a*eta + 2 != 0 (criterion 4). For
-    arbitrary locators a*eta + 2 != 0 does not imply MDS; use
-    `is_mds_plus` there.
-    """
+    with locators alpha and twist coefficient eta: NMDS exactly when a != 0,
+    a*eta + 2 = 0 (a the locator sum) and some n/2-subset of the locators
+    sums to -1/eta (the half-sum a/2); MDS otherwise. The equation gates the
+    subset scan of `is_mds_plus`. The domain is the self-dual n = 2k codes
+    of the construction families: on every code of both pinned sweep
+    catalogs exact distance finds no NMDS member with a*eta + 2 != 0
+    (criterion 4). For arbitrary locators a*eta + 2 != 0 does not imply
+    MDS; use `is_mds_plus` there."""
     a = alpha_sum(field, alpha)
     if a == 0 or field.add(field.mul(a, eta), field.scalar(2)) != 0:
         return "MDS"
@@ -197,18 +182,15 @@ def _finished(field: GaloisField, a_l: int, m: int | None, x_data, cand,
               keys, verified: set) -> ConstructionResult:
     """The construction of a `_candidates` step `cand`: locators
     c + beta * x_i and eta = 1 / eta^-1 for each kept inverse, in order,
-    each labelled by `classify_eta` on those locators; then each eta's code
-    is checked to be Hermitian self-dual.
-
-    `keys` holds one key per listed eta, equal exactly when the codes are:
-    the sweep hands in the `_code_keys` it deduplicated by, and a single
-    construction distinct integers. `verified` holds the keys whose code
-    already passed the full criterion. The first eta of a key runs the full
-    `check_self_dual_criterion`; the later ones get their verdicts from one
-    `_polynomial_route` call, each on its own eta, and must agree with the
-    Gram verdict already stored for their code. That verdict is a fact of
-    the code: a generator M*G of the same code has Gram matrix
-    M (G conj(G)^T) conj(M)^T."""
+    each labelled by `classify_eta` on those locators, and each eta's code
+    checked to be Hermitian self-dual. `keys` holds one key per eta, equal
+    exactly when the codes are (the sweep's `_code_keys`, or distinct
+    integers), and `verified` the keys whose code passed the full criterion.
+    The first eta of a key runs `check_self_dual_criterion`; the later ones
+    get their verdicts from one `_polynomial_route` call, each on its own
+    eta, which must agree with the Gram verdict stored for their code. That
+    verdict is a fact of the code: a generator M*G of the same code has Gram
+    matrix M (G conj(G)^T) conj(M)^T."""
     x, v, _ = x_data
     c, beta, a, inverses, filtered = cand
     alpha = tuple(field.add(c, field.mul(beta, xi)) for xi in x)
@@ -245,15 +227,16 @@ def construct_class2(field: GaloisField, a_l: int, m: int, x_subset) -> Construc
 
 def _construct(field: GaloisField, a_l: int, m: int | None,
                x_subset) -> ConstructionResult:
-    """One construction through the sweep's steps, `_x_data`, `_candidates`
-    and `_finished`, after checking the coset label; every listed eta runs
-    the full criterion (distinct keys, no verdict shared)."""
+    """One construction through the sweep's steps, `_x_data`, `_step_head`,
+    `_candidates` and `_finished`, after checking the coset label; every
+    listed eta runs the full criterion (distinct keys, no verdict shared)."""
     field._require_square()
     field.check(a_l)
     if not field.in_subfield(a_l):
         raise ConstructionError("coset label must lie in the subfield")
     x_data = _x_data(field, x_subset)
-    cand = _candidates(field, a_l, m, x_data, _zeta_inverses(field))
+    cand = _candidates(field, _step_head(field, a_l, m, x_data),
+                       _zeta_inverses(field))
     return _finished(field, a_l, m, x_data, cand, range(len(cand[3])), set())
 
 
@@ -285,53 +268,55 @@ def _x_data(field: GaloisField, x_subset) -> tuple[tuple[int, ...],
     return x, tuple(field.solve_norm(ui) for ui in u), alpha_sum(field, x)
 
 
-def _candidates(field: GaloisField, a_l: int, m: int | None, x_data,
-                zinv: list[int]) -> tuple[int, int, int, list[int], int]:
-    """The eta candidates of the construction on the coset c + beta * GF(q)
+_NO_ETA = "no admissible eta candidates for this input"
+
+
+def _step_head(field: GaloisField, a_l: int, m: int | None,
+               x_data) -> tuple[int, int, int, int]:
+    """(c, beta, a, B) for the construction on the coset c + beta * GF(q)
     with locators c + beta * x_i, for the `_x_data` of an x subset: (c, beta)
     is (a_l * w, 1) for class I (m is None) and (a_l, w^m) for class II,
-    1 <= m <= q; `zinv` = `_zeta_inverses(field)`. Returns (c, beta, a,
-    inverses, filtered): the locator sum a = n*c + beta * sum(x), the
-    inverses of the kept etas in eta order, and the number of candidates
-    dropped by 1 + a*eta = 0, which is eta^-1 = -a. No locator is built.
-
-    With B = k*c + k*c^q / beta^(q-1) + beta * sum(x), the candidates are
-    the zeta roots over B when a and B are nonzero (eta^-1 = B * z^-1),
-    none for class I in characteristic 2 when only B is zero, and the roots
-    of eta^(q-1) = -beta^-(q-1) otherwise."""
+    1 <= m <= q; a = n*c + beta * sum(x) is the locator sum, and
+    B = k*c + k*c^q / beta^(q-1) + beta * sum(x) when a != 0, else 0.
+    Characteristic 2 excludes a = 0, and there class I lists no eta when
+    B = 0. No locator is built."""
     q = field.q
     x, _, sum_x = x_data
-    n = len(x)
     if m is None:
         c, beta = field.mul(a_l, field.generator), 1
     elif 1 <= m <= q:
         c, beta = a_l, field.pow(field.generator, m)
     else:
         raise ConstructionError(f"m must lie in [1, {q}]")
-    a = field.add(field.mul(field.scalar(n), c), field.mul(beta, sum_x))
+    a = field.add(field.mul(field.scalar(len(x)), c), field.mul(beta, sum_x))
     if a == 0 and field.p == 2:
         raise ConstructionError(
             "locator sum zero in characteristic 2 is excluded")
+    big_b = 0 if a == 0 else field.add(field.mul(
+        field.scalar(len(x) // 2),
+        field.add(c, field.div(field.frobenius(c), field.pow(beta, q - 1)))),
+        field.mul(beta, sum_x))
+    if big_b == 0 and m is None and field.p == 2:
+        raise ConstructionError(_NO_ETA)
+    return c, beta, a, big_b
 
-    beta_q1 = field.pow(beta, q - 1)
-    big_b = 0
-    if a != 0:
-        k = field.scalar(n // 2)
-        big_b = field.add(
-            field.add(field.mul(k, c),
-                      field.div(field.mul(k, field.frobenius(c)), beta_q1)),
-            field.mul(beta, sum_x))
-    if big_b != 0:
+
+def _candidates(field: GaloisField, head,
+                zinv: list[int]) -> tuple[int, int, int, list[int], int]:
+    """(c, beta, a, inverses, filtered) for a `_step_head` (c, beta, a, B)
+    and `zinv` = `_zeta_inverses(field)`: the inverses of the kept etas in
+    eta order, which are the zeta roots over B when B != 0 (eta^-1 =
+    B * z^-1) and else the roots of eta^(q-1) = -beta^-(q-1), and the
+    number of candidates dropped by 1 + a*eta = 0, that is eta^-1 = -a."""
+    c, beta, a, big_b = head
+    if big_b:
         inverses = [field.mul(big_b, zi) for zi in zinv]
-    elif a != 0 and m is None and field.p == 2:
-        inverses = []
     else:
         inverses = [field.inv(eta) for eta in field.power_roots(
-            q - 1, field.neg(field.inv(beta_q1)))]
-    neg_a = field.neg(a)
-    kept = [e for e in inverses if e != neg_a]
+            field.q - 1, field.neg(field.inv(field.pow(beta, field.q - 1))))]
+    kept = [e for e in inverses if e != field.neg(a)]
     if not kept:
-        raise ConstructionError("no admissible eta candidates for this input")
+        raise ConstructionError(_NO_ETA)
     return c, beta, a, kept, len(inverses) - len(kept)
 
 
@@ -341,25 +326,23 @@ def _candidates(field: GaloisField, a_l: int, m: int | None, x_data,
 
 def _code_keys(field: GaloisField, x_data, cand, memo: dict) -> list:
     """The RREF row-space keys of the codes of the kept etas of a
-    `_candidates` step `cand`, in eta order: each equals
+    `_candidates` step `cand`, in eta order, each equal to
     `generator_matrix(res.params(eta)).row_space_key()` for the result
-    `_finished` makes of the step.
+    `_finished` makes of the step. With alpha = c + beta * x, the rows
+    v * alpha^j (j < k - 1) span the rows v * x^j, and modulo them
+    alpha^(k-1) + eta * alpha^k is beta^(k-1) ((1 + k*c*eta) x^(k-1) +
+    beta*eta x^k); divided by beta^k * eta, the last row is
+    v * (sigma x^(k-1) + x^k) with
 
-    With alpha = c + beta * x, the rows v * alpha^j (j < k - 1) span the
-    same space as the rows v * x^j, and modulo them alpha^(k-1) + eta *
-    alpha^k is beta^(k-1) ((1 + k*c*eta) x^(k-1) + beta*eta x^k). Divided
-    by beta^k * eta, the last row is v * (sigma x^(k-1) + x^k) with
+        sigma = (1 + k*c*eta) / (beta*eta) = (eta^-1 + k*c) / beta.
 
-        sigma = (1 + k*c*eta) / (beta*eta) = (eta^-1 + k*c) / beta,
-
-    one add and one multiply per candidate. On one x subset sigma names the
-    code injectively: if two values gave one code, v * x^(k-1) would lie in
-    it, and a nonzero polynomial of degree <= k < n would vanish on the n
-    distinct x_i. sigma = 0 is exactly 1 + k*c*eta = 0,
-    the last row v * x^k; any other sigma is the inverse of the plain twist
-    beta*eta / (1 + k*c*eta). `memo` maps each (x, sigma) to the key of
-    the first code built for it, from that construction's own locators and
-    eta; equal codes on distinct x subsets still get equal keys."""
+    On one x subset sigma names the code injectively: if two values gave
+    one code, v * x^(k-1) would lie in it, and a nonzero polynomial of
+    degree <= k < n would vanish on the n distinct x_i. sigma = 0 is
+    exactly 1 + k*c*eta = 0, the last row v * x^k; any other sigma is the
+    inverse of the plain twist beta*eta / (1 + k*c*eta). `memo` maps each
+    (x, sigma) to the key of the first code built for it, from that
+    construction's own locators and eta, so equal codes get equal keys."""
     mul, add = field.mul, field.add
     x, v, _ = x_data
     c, beta, _, inverses, _ = cand
@@ -378,6 +361,40 @@ def _code_keys(field: GaloisField, x_data, cand, memo: dict) -> list:
     return keys
 
 
+def _step_key(field: GaloisField, n: int, head, zinv: list[int]) -> tuple:
+    """A key of the set of sigma = (eta^-1 + k*c) / beta (`_code_keys`) over
+    the kept inverses of a `_step_head` (c, beta, a, B), found without
+    listing them: equal keys mean equal sets, and so do equal sets of two
+    or more points, which fix their line. The z^-1 are the q elements of
+    trace -1 (z^(q+1) + z^q + z = 0 gives (z + z^q) / z^(q+1) = -1), the
+    line w0 + GF(q)*theta with w0 = zinv[0], theta = zinv[1] - zinv[0],
+    Tr(theta) = 0 and theta^(q-1) = -1. If B != 0 the sigmas fill
+    o + GF(q)*d, o = (B*w0 + k*c) / beta and d = B*theta / beta, less
+    (k*c - a) / beta exactly when Tr(a/B) = 1. If B = 0, (y/beta)^(q-1)
+    = -1 puts each inverse y in beta*theta*GF(q)*: the sigmas fill
+    k*c/beta + GF(q)*theta less k*c/beta, and less (k*c - a) / beta when
+    -a is a candidate. A line o + GF(q)*d is keyed by (delta, o - o^q/delta)
+    with delta = d^(q-1), which fixes d up to a factor in GF(q)*; and
+    y -> y - y^q/delta is GF(q)-linear with kernel {y : y^q = delta*y} =
+    GF(q)*d, so it is constant on the line and tells apart the lines of
+    direction d. The removed points complete the key."""
+    c, beta, a, big_b = head
+    kc = field.mul(field.scalar(n // 2), c)
+    theta = field.sub(zinv[1], zinv[0])
+    gone = field.div(field.sub(kc, a), beta)    # the sigma of eta^-1 = -a
+    if big_b:
+        o = field.div(field.add(field.mul(big_b, zinv[0]), kc), beta)
+        d = field.div(field.mul(big_b, theta), beta)
+        r = field.div(a, big_b)
+        lost = (gone,) if field.add(r, field.frobenius(r)) == 1 else ()
+    else:
+        o, d = field.div(kc, beta), theta
+        on = a and field.in_subfield(field.div(a, field.mul(beta, theta)))
+        lost = tuple(sorted((o, gone))) if on else (o,)
+    delta = field.pow(d, field.q - 1)
+    return delta, field.sub(o, field.div(field.frobenius(o), delta)), lost
+
+
 def canonical_x_subsets(field: GaloisField, n: int) -> list[tuple[int, ...]]:
     """Deterministic x subsets per length: the first n subfield elements in
     canonical order, and the first n nonzero ones (the latter reaches the
@@ -394,20 +411,18 @@ def sweep_constructions(field: GaloisField, n_values=None,
     """Enumerate both families over all coset labels (and direction exponents
     for class II) with canonical x subsets; deterministic output order.
 
-    The zeta roots and their inverses are computed once per call and the
-    `_x_data` of each x subset once in its own loop, so each (class, a_l, m)
-    runs only the `_candidates` step: a, B and the inverses of its etas.
-    `_code_keys` keys each candidate by (x, sigma) and builds a generator
-    only for a new plain form. The steps are deduplicated by their sorted
-    row-space keys; only the kept ones are built, labelled, each from its
-    own locators, and verified by `_finished` with the keys already computed
-    and one Gram verdict per distinct code, kept for this call only. Over
-    q = 3..13, 3 712 steps hold 39 400 candidates
-    and 157 are kept; the full criterion runs once per distinct code (285),
-    `classify_eta` once per listed row (1 337), and the polynomial route
-    gives one verdict per row (1 337) in 412 calls: one inside each full
-    criterion and one per kept construction with a repeated code. Classes
-    and lengths are checked before any step runs."""
+    The zeta roots are computed once per call and `_x_data` once per x
+    subset. Each (class, a_l, m) runs `_step_head` and `_step_key`; on one x
+    subset sigma names the code injectively, so a step whose key was seen
+    there holds the codes of an earlier step and is skipped. A new key lists
+    its candidates, and `_code_keys` keys them by (x, sigma), building a
+    generator only for a new plain form. Steps are deduplicated by their
+    sorted row-space keys; `_finished` builds, labels and verifies the kept
+    ones, with one Gram verdict per distinct code, kept for this call only.
+    Over q = 3..13, 3 712 steps are keyed, 180 list their candidates and
+    157 are kept: 1 337 rows, 285 distinct codes (one full criterion each)
+    and 412 route calls. Classes and lengths are checked before any step
+    runs."""
     q = field._require_square()
     if q > 16:
         raise ConstructionError("sweep capped at q <= 16")
@@ -422,17 +437,20 @@ def sweep_constructions(field: GaloisField, n_values=None,
             raise ConstructionError(f"invalid sweep length {n}")
     sub = field.subfield_elements()
     zinv = _zeta_inverses(field)
-    results = []
-    seen = set()
-    memo = {}
-    verified = set()
+    results, seen, memo, verified = [], set(), {}, set()
     for n in sorted(set(n_values)):     # a repeated length is swept once
         for x in canonical_x_subsets(field, n):
             x_data = _x_data(field, x)
+            lines = set()
             for cls_name in classes:
                 for a_l, m in product(sub, exponents[cls_name]):
                     try:
-                        cand = _candidates(field, a_l, m, x_data, zinv)
+                        head = _step_head(field, a_l, m, x_data)
+                        line = _step_key(field, n, head, zinv)
+                        if line in lines:
+                            continue
+                        lines.add(line)
+                        cand = _candidates(field, head, zinv)
                     except ConstructionError:
                         continue
                     keys = _code_keys(field, x_data, cand, memo)

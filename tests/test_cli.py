@@ -3,6 +3,7 @@ import contextlib
 import copy
 import hashlib
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -802,7 +803,9 @@ WRONG_TYPES = {
 
 
 def test_wrong_typed_keys_exit_2(capsys, tmp_path):
-    path = tmp_path / "doc.json"
+    # each document gets a fresh file: rewriting one file in place costs
+    # far more than writing a new one on some file systems
+    paths = (tmp_path / f"doc{i}.json" for i in itertools.count())
     for doc in FUZZ_DOCS:
         for part in ("field", "datum" if "twists" in doc else "raw"):
             where = "field " if part == "field" else ""
@@ -812,6 +815,7 @@ def test_wrong_typed_keys_exit_2(capsys, tmp_path):
                     node = bad["field"] if part == "field" else bad
                     assert key in node
                     node[key] = value
+                    path = next(paths)
                     path.write_text(json.dumps(bad))
                     for command in ("classify", "verify", "dual"):
                         rc, out, err = run(capsys, command, str(path))
@@ -862,12 +866,19 @@ def fuzz_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz")
 
 
+@pytest.fixture(scope="module")
+def fuzz_doc_paths(fuzz_dir):
+    """A fresh path per fuzzed document and `--out` file, across all
+    examples: rewriting one file in place costs far more than writing a
+    new one on some file systems."""
+    return (fuzz_dir / f"doc{i}.json" for i in itertools.count())
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(data=st.data())
-def test_cli_fuzz_exit_codes_and_errors(fuzz_dir, data):
-    doc_path = fuzz_dir / "doc.json"
-
+def test_cli_fuzz_exit_codes_and_errors(fuzz_dir, fuzz_doc_paths, data):
     def write(doc):
+        doc_path = next(fuzz_doc_paths)
         doc_path.write_text(json.dumps(doc))
         return (str(doc_path),)
 
@@ -875,7 +886,7 @@ def test_cli_fuzz_exit_codes_and_errors(fuzz_dir, data):
     file = st.integers(0, 4).flatmap(lambda i: st.sampled_from(
         ((str(fuzz_dir / "missing.json"),), (str(fuzz_dir),))) if i == 0
         else _documents().map(write))
-    pieces = _pieces(file, str(fuzz_dir / "out.txt"))
+    pieces = _pieces(file, f"{next(fuzz_doc_paths)}.out")
     command = data.draw(st.sampled_from(sorted(pieces)), label="command")
     required, optional = pieces[command]
     # each required piece is dropped one time in eight

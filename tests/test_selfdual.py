@@ -25,8 +25,8 @@ from gtrscodes import (
 )
 from gtrscodes.linalg import Matrix
 from gtrscodes.selfdual import (_candidates, _code_keys, _finished,
-                                _polynomial_route, _x_data, _zeta_inverses,
-                                canonical_x_subsets)
+                                _polynomial_route, _step_head, _step_key,
+                                _x_data, _zeta_inverses, canonical_x_subsets)
 
 from conftest import (exhaustive_class, field_q2, poly_route_oracle,
                       reference_rref, sweep_cache)
@@ -377,7 +377,8 @@ def candidate_steps(field):
             for a_l in sub:
                 for m in [None, *range(1, q + 1)]:
                     try:
-                        cand = _candidates(field, a_l, m, x_data, zinv)
+                        cand = _candidates(
+                            field, _step_head(field, a_l, m, x_data), zinv)
                     except ConstructionError:
                         continue
                     yield a_l, m, x_data, cand
@@ -441,6 +442,55 @@ def test_row_space_keys_match_generator_rref(q):
             == len(pairs)
 
 
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_step_key_names_the_sigma_set(q):
+    # every step with candidates gets a key, and on one x subset two steps
+    # share it exactly when their sets of sigma, listed from the full
+    # candidate list, are equal
+    f = field_q2(q)
+    zinv = _zeta_inverses(f)
+    per_x = {}
+    steps = 0
+    for a_l, m, x_data, cand in candidate_steps(f):
+        x = x_data[0]
+        key = _step_key(f, len(x), _step_head(f, a_l, m, x_data), zinv)
+        sigmas = frozenset(sigma(f, cand, len(x) // 2, inv_eta)
+                           for inv_eta in cand[3])
+        assert len(sigmas) == len(cand[3]) > 0
+        per_x.setdefault(x, set()).add((key, sigmas))
+        steps += 1
+    for pairs in per_x.values():
+        assert len({key for key, _ in pairs}) == len(pairs) \
+            == len({sigmas for _, sigmas in pairs})
+    # keys are shared, and for q > 2 one x subset has several
+    assert steps > sum(map(len, per_x.values()))
+    assert max(map(len, per_x.values())) > (q > 2)
+
+
+def test_sweep_lists_candidates_once_per_sigma_set(monkeypatch):
+    # one pass of q = 3..13: every step is keyed, 180 list their candidates
+    # (one per distinct x subset and sigma set), and the later work is as
+    # before: one key generator per plain form, one criterion (and with it
+    # one generator) per distinct code, one route verdict per row
+    import gtrscodes.gtrs as gtrs
+    import gtrscodes.selfdual as selfdual
+    built = count_calls(monkeypatch, gtrs, ("generator_matrix",))
+    calls = count_calls(monkeypatch, selfdual,
+                        ("_step_key", "_candidates", "_code_keys",
+                         "generator_matrix", "_finished",
+                         "check_self_dual_criterion", "_polynomial_route",
+                         "classify_eta"))
+    rows = sum(len(r.eta_list) for q in (3, 5, 7, 9, 11, 13)
+               for r in sweep_constructions(field_q2(q)))
+    assert (calls["_step_key"], calls["_candidates"], calls["_code_keys"]) \
+        == (3712, 180, 180)
+    assert (calls["generator_matrix"], built["generator_matrix"]) \
+        == (332, 285)
+    assert (calls["_finished"], calls["check_self_dual_criterion"],
+            calls["_polynomial_route"]) == (157, 285, 412)
+    assert rows == calls["classify_eta"] == calls["verdicts"] == 1337
+
+
 def test_sweep_builds_one_generator_per_kept_code(gf49, monkeypatch):
     # one generator per distinct plain form (x subset, sigma) for the key,
     # plus one per distinct code for the full criterion, which makes its
@@ -471,13 +521,17 @@ def test_sweep_builds_one_generator_per_kept_code(gf49, monkeypatch):
 def test_sweep_and_construct_agree(q, steps, accepted, kept, monkeypatch):
     # the sweep and construct_class1/2 share the candidate step and the
     # builder: every swept result is the one construct gives for its own
-    # (a_l, m, x subset), and only the kept steps are materialized
+    # (a_l, m, x subset); every accepted step is keyed, candidates are listed
+    # only for a new key, and only the kept steps are materialized
     import gtrscodes.selfdual as selfdual
     f = field_q2(q)
-    calls = count_calls(monkeypatch, selfdual, ("_candidates", "_finished"))
+    calls = count_calls(monkeypatch, selfdual,
+                        ("_step_head", "_step_key", "_candidates", "_finished"))
     results = sweep_constructions(f)
     monkeypatch.undo()
-    assert (calls["_candidates"], calls["_finished"]) == (steps, kept)
+    listed = {7: 25, 8: 22}[q]
+    assert (calls["_step_head"], calls["_step_key"], calls["_candidates"],
+            calls["_finished"]) == (steps, accepted, listed, kept)
     assert len(results) == kept
     # the sweep's grid: steps that raise nothing
     assert sum(1 for _ in candidate_steps(f)) == accepted
@@ -617,28 +671,24 @@ def test_sweep_refuses_an_unknown_class_without_lengths():
 
 def test_sweep_refuses_a_bad_length_before_building(gf49, monkeypatch):
     import gtrscodes.selfdual as selfdual
-    calls = count_calls(monkeypatch, selfdual, ("_candidates", "_finished"))
+    calls = count_calls(monkeypatch, selfdual,
+                        ("_step_head", "_candidates", "_finished"))
     for lengths in ([4, 5], [5]):
         with pytest.raises(ConstructionError, match="invalid sweep length 5"):
             sweep_constructions(gf49, lengths)
-    assert calls["_candidates"] == calls["_finished"] == 0
+    assert calls["_step_head"] == calls["_candidates"] == \
+        calls["_finished"] == 0
 
 
 def test_sweep_builds_a_repeated_length_once(gf49, monkeypatch):
-    # every value is still checked: a bad length among repeats is refused
+    # every value is still checked: a bad length among repeats is refused;
+    # each of the 112 steps is keyed once, and 8 list their candidates
     import gtrscodes.selfdual as selfdual
-    calls = []
-
-    def counted(*args):
-        calls.append(args)
-        return _candidates(*args)
-
-    monkeypatch.setattr(selfdual, "_candidates", counted)
+    calls = count_calls(monkeypatch, selfdual, ("_step_key", "_candidates"))
     once = sweep_constructions(gf49, [4])
-    built = len(calls)
-    assert built == 112
+    assert (calls["_step_key"], calls["_candidates"]) == (112, 8)
     twice = sweep_constructions(gf49, [4, 4])
-    assert len(calls) == 2 * built == 224
+    assert (calls["_step_key"], calls["_candidates"]) == (224, 16)
     assert [r.to_dict() for r in twice] == [r.to_dict() for r in once]
     with pytest.raises(ConstructionError, match="invalid sweep length 5"):
         sweep_constructions(gf49, [4, 4, 5])
@@ -678,7 +728,8 @@ def test_swept_codes_are_plain_twists_on_x(data):
     m = data.draw(st.sampled_from([None, *range(1, q + 1)]), label="m")
     x_data = _x_data(f, x)
     try:
-        cand = _candidates(f, a_l, m, x_data, _zeta_inverses(f))
+        cand = _candidates(f, _step_head(f, a_l, m, x_data),
+                           _zeta_inverses(f))
     except ConstructionError:
         reject()
     res = _finished(f, a_l, m, x_data, cand, range(len(cand[3])), set())
