@@ -361,38 +361,20 @@ def _code_keys(field: GaloisField, x_data, cand, memo: dict) -> list:
     return keys
 
 
-def _step_key(field: GaloisField, n: int, head, zinv: list[int]) -> tuple:
-    """A key of the set of sigma = (eta^-1 + k*c) / beta (`_code_keys`) over
-    the kept inverses of a `_step_head` (c, beta, a, B), found without
-    listing them: equal keys mean equal sets, and so do equal sets of two
-    or more points, which fix their line. The z^-1 are the q elements of
-    trace -1 (z^(q+1) + z^q + z = 0 gives (z + z^q) / z^(q+1) = -1), the
-    line w0 + GF(q)*theta with w0 = zinv[0], theta = zinv[1] - zinv[0],
-    Tr(theta) = 0 and theta^(q-1) = -1. If B != 0 the sigmas fill
-    o + GF(q)*d, o = (B*w0 + k*c) / beta and d = B*theta / beta, less
-    (k*c - a) / beta exactly when Tr(a/B) = 1. If B = 0, (y/beta)^(q-1)
-    = -1 puts each inverse y in beta*theta*GF(q)*: the sigmas fill
-    k*c/beta + GF(q)*theta less k*c/beta, and less (k*c - a) / beta when
-    -a is a candidate. A line o + GF(q)*d is keyed by (delta, o - o^q/delta)
-    with delta = d^(q-1), which fixes d up to a factor in GF(q)*; and
-    y -> y - y^q/delta is GF(q)-linear with kernel {y : y^q = delta*y} =
-    GF(q)*d, so it is constant on the line and tells apart the lines of
-    direction d. The removed points complete the key."""
+def _step_key(field: GaloisField, n: int, head) -> tuple:
+    """The points that a `_step_head` (c, beta, a, B) removes from the one
+    line Tr(sigma) = -sum(x) on which every sigma = (eta^-1 + k*c) / beta
+    (`_code_keys`) of its x subset lies, found without listing them.
+    B/beta = Tr(k*c/beta) + sum(x) lies in GF(q), so every sigma of one x
+    subset satisfies Tr(sigma) = -sum(x). A step with B != 0 fills that
+    line: Tr(a/B) = 2, never 1, so it removes no point. A step with B = 0
+    lacks exactly k*c/beta and (k*c - a)/beta, both on the line."""
     c, beta, a, big_b = head
-    kc = field.mul(field.scalar(n // 2), c)
-    theta = field.sub(zinv[1], zinv[0])
-    gone = field.div(field.sub(kc, a), beta)    # the sigma of eta^-1 = -a
     if big_b:
-        o = field.div(field.add(field.mul(big_b, zinv[0]), kc), beta)
-        d = field.div(field.mul(big_b, theta), beta)
-        r = field.div(a, big_b)
-        lost = (gone,) if field.add(r, field.frobenius(r)) == 1 else ()
-    else:
-        o, d = field.div(kc, beta), theta
-        on = a and field.in_subfield(field.div(a, field.mul(beta, theta)))
-        lost = tuple(sorted((o, gone))) if on else (o,)
-    delta = field.pow(d, field.q - 1)
-    return delta, field.sub(o, field.div(field.frobenius(o), delta)), lost
+        return ()
+    kc = field.mul(field.scalar(n // 2), c)
+    return tuple(sorted({field.div(kc, beta),
+                         field.div(field.sub(kc, a), beta)}))
 
 
 def canonical_x_subsets(field: GaloisField, n: int) -> list[tuple[int, ...]]:
@@ -413,12 +395,13 @@ def sweep_constructions(field: GaloisField, n_values=None,
 
     The zeta roots are computed once per call and `_x_data` once per x
     subset. Each (class, a_l, m) runs `_step_head` and `_step_key`; on one x
-    subset sigma names the code injectively, so a step whose key was seen
-    there holds the codes of an earlier step and is skipped. A new key lists
-    its candidates, and `_code_keys` keys them by (x, sigma), building a
-    generator only for a new plain form. Steps are deduplicated by their
-    sorted row-space keys; `_finished` builds, labels and verifies the kept
-    ones, with one Gram verdict per distinct code, kept for this call only.
+    subset sigma names the code injectively, so a step whose removed points
+    were seen there holds the codes of an earlier step and is skipped. A
+    step with new ones lists its candidates, and `_code_keys` keys them by
+    (x, sigma), building a generator only for a new plain form. Steps are
+    deduplicated by their sorted row-space keys; `_finished` builds, labels
+    and verifies the kept ones, with one Gram verdict per distinct code,
+    kept for this call only.
     Over q = 3..13, 3 712 steps are keyed, 180 list their candidates and
     157 are kept: 1 337 rows, 285 distinct codes (one full criterion each)
     and 412 route calls. Classes and lengths are checked before any step
@@ -441,15 +424,15 @@ def sweep_constructions(field: GaloisField, n_values=None,
     for n in sorted(set(n_values)):     # a repeated length is swept once
         for x in canonical_x_subsets(field, n):
             x_data = _x_data(field, x)
-            lines = set()
+            removals = set()
             for cls_name in classes:
                 for a_l, m in product(sub, exponents[cls_name]):
                     try:
                         head = _step_head(field, a_l, m, x_data)
-                        line = _step_key(field, n, head, zinv)
-                        if line in lines:
+                        removed = _step_key(field, n, head)
+                        if removed in removals:
                             continue
-                        lines.add(line)
+                        removals.add(removed)
                         cand = _candidates(field, head, zinv)
                     except ConstructionError:
                         continue

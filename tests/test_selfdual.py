@@ -442,21 +442,39 @@ def test_row_space_keys_match_generator_rref(q):
             == len(pairs)
 
 
-@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 13, 16])
 def test_step_key_names_the_sigma_set(q):
-    # every step with candidates gets a key, and on one x subset two steps
-    # share it exactly when their sets of sigma, listed from the full
-    # candidate list, are equal
+    # the premise of the key, read from the listed candidates alone: every
+    # sigma of one x subset lies on the line Tr(sigma) = -sum(x); a step
+    # with B != 0 fills it and drops no candidate, and a step with B = 0
+    # lacks exactly k*c/beta and (k*c - a)/beta and drops one candidate
+    # exactly when a != 0. Then every step with candidates gets a key, and
+    # on one x subset two steps share it exactly when their sets of sigma
+    # are equal
     f = field_q2(q)
-    zinv = _zeta_inverses(f)
-    per_x = {}
+    per_x, lines = {}, {}
     steps = 0
     for a_l, m, x_data, cand in candidate_steps(f):
-        x = x_data[0]
-        key = _step_key(f, len(x), _step_head(f, a_l, m, x_data), zinv)
-        sigmas = frozenset(sigma(f, cand, len(x) // 2, inv_eta)
-                           for inv_eta in cand[3])
+        x, _, sum_x = x_data
+        head = _step_head(f, a_l, m, x_data)
+        c, beta, a, big_b = head
+        k = len(x) // 2
+        sigmas = frozenset(sigma(f, cand, k, inv_eta) for inv_eta in cand[3])
         assert len(sigmas) == len(cand[3]) > 0
+        if x not in lines:
+            lines[x] = frozenset(
+                y for y in range(f.order)
+                if f.add(y, f.frobenius(y)) == f.neg(sum_x))
+            assert len(lines[x]) == q
+        assert sigmas <= lines[x]
+        if big_b:
+            assert (sigmas, cand[4]) == (lines[x], 0)
+        else:
+            kc = f.mul(f.scalar(k), c)
+            gone = {f.div(kc, beta), f.div(f.sub(kc, a), beta)}
+            assert gone <= lines[x]
+            assert (sigmas, cand[4]) == (lines[x] - gone, int(a != 0))
+        key = _step_key(f, len(x), head)
         per_x.setdefault(x, set()).add((key, sigmas))
         steps += 1
     for pairs in per_x.values():
